@@ -1,12 +1,14 @@
 # Developer entry points. `make check` is the tier-1 verification gate
 # (see ROADMAP.md) plus a -race pass over the packages with the most
-# lock-free concurrency and a short fuzz of the recovery decoders.
+# lock-free concurrency, a short fuzz of the recovery decoders, and the
+# repo benchmark's own vet + smoke test (a module of its own under
+# benchmarks/, which `./...` does not reach).
 
 GO ?= go
 
-.PHONY: check build test vet race fuzz bench cache faults wal repl scan scaleout offload rebalance ycsb
+.PHONY: check build test vet race fuzz benchsmoke bench cache faults wal repl scan scaleout offload rebalance ycsb
 
-check: vet build test race fuzz
+check: vet build test race fuzz benchsmoke
 
 vet:
 	$(GO) vet ./...
@@ -23,7 +25,7 @@ race:
 		./internal/cache/... ./internal/shard/... ./internal/wal/... \
 		./internal/sstable/... ./internal/iterx/... ./internal/readahead/... \
 		./internal/lease/... ./internal/repl/... ./internal/balance/... \
-		./internal/service/...
+		./internal/service/... ./internal/sim/...
 
 # Short fuzz of the bytes recovery trusts from remote memory (checkpoint
 # blobs must decode or error, never panic) and of the merge iterator the
@@ -38,6 +40,11 @@ fuzz:
 	$(GO) test ./internal/memnode/ -run '^$$' -fuzz FuzzDecodeFlushBuildArgs -fuzztime 5s
 	$(GO) test ./internal/shard/ -run '^$$' -fuzz FuzzRouteKey -fuzztime 5s
 	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzAdmission -fuzztime 5s
+
+# benchmarks/dlsm-perf imports the public dlsm API only: a change that
+# breaks it would otherwise strand the benchmark unnoticed.
+benchsmoke:
+	cd benchmarks/dlsm-perf && $(GO) vet ./... && $(GO) test ./...
 
 # Hot-KV cache budget sweep (Zipf readrandom, cache off -> 64MB).
 cache:
@@ -55,9 +62,10 @@ wal:
 repl:
 	$(GO) run ./cmd/dlsm-bench -fig repl -n 100000
 
-# Pipelined scan prefetching sweep: depth {1,2,4,8} x chunk ceiling on
-# readseq and scanrandom. Depth 1 is the synchronous path (byte-identical
-# to Fig 11); every depth > 1 must strictly improve throughput.
+# Scan prefetching sweep: depth {1,2,4,8} x chunk ceiling on readseq and
+# scanrandom. Depth 2 is the default scan path (what Fig 11 runs); depth 1
+# is the synchronous ablation, one PrefetchBytes read per table per seek,
+# which every pipelined depth must strictly beat.
 scan:
 	$(GO) run ./cmd/dlsm-bench -fig scan -n 100000
 
@@ -77,8 +85,8 @@ rebalance:
 
 # Multi-tenant service-tier YCSB matrix: all six core workloads through
 # the front-end tier, then the mixed-tenant scenario (latency-sensitive
-# YCSB-B beside scan-heavy YCSB-E). Rate-limiting the scan tenant must
-# strictly improve the frontend's p99.
+# YCSB-B beside a scan-heavy YCSB-E variant with 1 000-entry scans).
+# Rate-limiting the scan tenant must strictly improve the frontend's p99.
 ycsb:
 	$(GO) run ./cmd/dlsm-bench -fig ycsb -n 100000
 

@@ -222,11 +222,12 @@ func Fig11(n int, threads int) *Figure {
 
 // FigScan sweeps the pipelined scan prefetcher: depth {1,2,4,8} crossed
 // with chunk ceiling {256KB, 2MB} on full-table scans (readseq) and
-// 100-entry random range scans (scanrandom). Depth 1 is the synchronous
-// path, byte-identical to the pre-pipeline scans. Run with few threads:
-// pipelining hides chunk wire latency behind consumption, which shows
-// only while the link has headroom — many concurrent scans saturate the
-// wire at any depth. Each point reports the prefetch telemetry.
+// 100-entry random range scans (scanrandom). Depth 2 is the default scan
+// path; depth 1 is the synchronous ablation, one ceiling-sized read per
+// table per seek. Run with few threads: pipelining hides chunk wire
+// latency behind consumption, which shows only while the link has
+// headroom — many concurrent scans saturate the wire at any depth. Each
+// point reports the prefetch telemetry.
 func FigScan(n, threads int) *Figure {
 	f := &Figure{Name: "Fig scan", Title: "pipelined scan prefetching: depth x chunk", XLabel: "depth"}
 	workloads := []struct {
@@ -327,7 +328,7 @@ func FigOffload(n, threads int) *Figure {
 	costs.FilterKey = 250 * time.Nanosecond
 	f := &Figure{Name: "Fig Offload", Title: "write-path offload ablation (randomfill, sync WAL)", XLabel: "layers"}
 	variants := []struct {
-		label            string
+		label           string
 		flush, idx, flt bool
 	}{
 		{"off", false, false, false},

@@ -111,7 +111,7 @@ func engineOptions(sys System, cfg Config, lambda int) engine.Options {
 		o.BalanceInterval = cfg.BalanceInterval
 	}
 	// Scan readahead (FigScan sweep); zero keeps the engine defaults
-	// (depth 1: the synchronous scan path, bit-identical to the seed).
+	// (depth 2, adaptive window up to 2MB).
 	if cfg.PrefetchDepth > 0 {
 		o.PrefetchDepth = cfg.PrefetchDepth
 	}

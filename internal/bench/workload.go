@@ -51,10 +51,10 @@ type Config struct {
 	CacheBudgetBytes int64
 
 	// PrefetchDepth and PrefetchBytes tune scan readahead (engine.Options
-	// passthrough). Depth 0 keeps the engine default of 1 — the synchronous
-	// scan path, bit-identical to the pre-pipeline figures; depth > 1 keeps
-	// that many chunk fetches in flight per table iterator. PrefetchBytes 0
-	// keeps the engine's 2MB chunk ceiling.
+	// passthrough). Depth 0 keeps the engine default of 2; depth 1 is the
+	// synchronous ablation (one PrefetchBytes read per table per seek);
+	// depth > 1 keeps that many chunk fetches in flight per table iterator.
+	// PrefetchBytes 0 keeps the engine's 2MB chunk ceiling.
 	PrefetchDepth int
 	PrefetchBytes int
 

@@ -19,10 +19,10 @@ func (d svcDB) NewSession() service.Session { return svcSession{s: d.db.NewSessi
 
 type svcSession struct{ s kvSession }
 
-func (s svcSession) Put(k, v []byte) error          { s.s.Put(k, v); return nil }
-func (s svcSession) Get(k []byte) ([]byte, error)   { return s.s.Get(k) }
+func (s svcSession) Put(k, v []byte) error                     { s.s.Put(k, v); return nil }
+func (s svcSession) Get(k []byte) ([]byte, error)              { return s.s.Get(k) }
 func (s svcSession) Scan(st []byte, fn func(k, v []byte) bool) { s.s.Scan(st, fn) }
-func (s svcSession) Close()                         { s.s.Close() }
+func (s svcSession) Close()                                    { s.s.Close() }
 
 // RunService runs one service-tier scenario over a deployment built from
 // cfg: deploy, open the system, preload cfg.Preload keys (when preload is
@@ -145,13 +145,21 @@ func mixedTenants(cfg Config, limit float64) []service.TenantConfig {
 		Ops:      cfg.N / 2,
 		Workload: service.YCSB('B', cfg.KeyRange),
 	}
+	// The scan tenant has to keep the memnode->compute link busy to be a
+	// noisy neighbour at all. YCSB-E's stock 100-entry scans stopped doing
+	// that once the default scan path quit fetching a 2 MiB chunk per table
+	// per seek, so analytics runs scans of up to 1 000 entries (the window
+	// ramps to ~200 KiB reads that point reads queue behind) from twice the
+	// frontend's clients.
+	scans := service.YCSB('E', cfg.KeyRange)
+	scans.MaxScanLen = 1000
 	analytics := service.TenantConfig{
 		Name:    "analytics",
-		Clients: clients,
-		// Scans visit up to 100 entries each; a tenth of the frontend's
-		// op budget keeps the two tenants' runtimes comparable.
-		Ops:      cfg.N / 20,
-		Workload: service.YCSB('E', cfg.KeyRange),
+		Clients: 2 * clients,
+		// ~500 entries a scan: a fiftieth of the frontend's op budget
+		// keeps the two tenants' runtimes comparable.
+		Ops:      cfg.N / 100,
+		Workload: scans,
 	}
 	if limit > 0 {
 		analytics.RatePerSec = limit

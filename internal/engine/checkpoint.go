@@ -57,7 +57,7 @@ func OpenFromCheckpoint(cn *rdma.Node, srv *memnode.Server, opts Options, checkp
 	if err != nil {
 		return nil, err
 	}
-	db, err := open(cn, srv, opts, false)
+	db, err := TryOpen(cn, srv, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -78,9 +78,8 @@ type DB struct {
 	// (all cache methods are nil-receiver-safe).
 	kv *cache.Cache
 
-	// raPool recycles registered scan-readahead buffers across iterators;
-	// created lazily by the first PrefetchDepth > 1 iterator so depth-1
-	// configurations never touch it (bit-identical figures).
+	// raPool recycles registered scan-readahead buffers and scan queue
+	// pairs across iterators; created by the first pipelined iterator.
 	raPoolMu sync.Mutex
 	raPool   *readahead.Pool
 
@@ -102,25 +101,27 @@ type DB struct {
 }
 
 // Open creates a DB on compute node cn backed by the memory node server
-// srv. The server must already be started. With Durability enabled, Open
-// stamps a fresh epoch on the DB's remote log slot (creating it on
-// demand) and panics if the slot cannot be set up — sizing errors there
-// are configuration bugs, like the flush-queue overflow below.
+// srv, panicking where TryOpen returns an error.
 func Open(cn *rdma.Node, srv *memnode.Server, opts Options) *DB {
-	db, err := open(cn, srv, opts, false)
+	db, err := TryOpen(cn, srv, opts)
 	if err != nil {
 		panic(err)
 	}
 	return db
 }
 
-// open is Open plus the recovery hook: walRecovering attaches to the
-// existing log slot without touching it (Recover replays it first).
-func open(cn *rdma.Node, srv *memnode.Server, opts Options, walRecovering bool) (*DB, error) {
-	return openMode(cn, srv, opts, walRecovering, false)
+// TryOpen creates a DB on compute node cn backed by the memory node
+// server srv. The server must already be started. With Durability enabled
+// it stamps a fresh epoch on the DB's remote log slot (creating it on
+// demand); a slot that cannot be set up — one more shard's WALSize than
+// the memory node's log region has room for, say — is the error.
+func TryOpen(cn *rdma.Node, srv *memnode.Server, opts Options) (*DB, error) {
+	return openMode(cn, srv, opts, false, false)
 }
 
-// openMode is the shared constructor. readOnly builds a secondary
+// openMode is the shared constructor. walRecovering attaches to the
+// existing log slot without touching it (Recover replays it first);
+// readOnly builds a secondary
 // attachment: compute-local state (version set, MemTables, caches) is
 // still per-DB — the engine refactor multi-compute scale-out forces —
 // but no write-side machinery starts: no WAL, and zero flush, compaction
@@ -263,15 +264,15 @@ func (db *DB) onObsolete(m *sstable.Meta) {
 // Cache returns the hot-KV cache, or nil when CacheBudgetBytes is 0.
 func (db *DB) Cache() *cache.Cache { return db.kv }
 
-// scanPool lazily creates the shared readahead buffer pool. Buffers are
-// sized at PrefetchBytes — the adaptive window's ceiling — so nearly
-// every chunk recycles; only a single entry larger than the window makes
-// the pool register a one-off buffer.
+// scanPool lazily creates the shared readahead pool. Buffers are sized at
+// PrefetchBytes — the adaptive window's ceiling — so nearly every chunk
+// recycles; only a single entry larger than the window makes the pool
+// register a one-off buffer.
 func (db *DB) scanPool() *readahead.Pool {
 	db.raPoolMu.Lock()
 	defer db.raPoolMu.Unlock()
 	if db.raPool == nil {
-		db.raPool = readahead.NewPool(db.cn, db.opts.PrefetchBytes)
+		db.raPool = readahead.NewPool(db.cn, db.mn, db.opts.PrefetchBytes, db.m.scan)
 	}
 	return db.raPool
 }
@@ -402,8 +403,8 @@ func (db *DB) Close() {
 	db.flushCh.Close()
 	db.gcCh.Close()
 	db.wg.Wait()
-	// Drop the pooled readahead buffers; stragglers from still-draining
-	// iterator reapers deregister themselves when they come back.
+	// Reap abandoned scan fetches, then drop the pooled readahead buffers
+	// and queue pairs.
 	db.raPoolMu.Lock()
 	if db.raPool != nil {
 		db.raPool.Close()

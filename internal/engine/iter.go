@@ -72,6 +72,13 @@ func (s *Session) NewIteratorOpts(ro ReadOptions) *Iterator {
 	if ro.PrefetchDepth > 0 {
 		depth = ro.PrefetchDepth
 	}
+	// One pipelined-prefetch config serves every table of the scan. Only
+	// the native one-sided transport has a queue pair to pipeline on; depth
+	// 1 is the synchronous ablation.
+	var ra *readahead.Config
+	if depth > 1 && db.opts.Transport == TransportNative {
+		ra = &readahead.Config{Pool: db.scanPool(), Depth: depth, MaxWindow: prefetch}
+	}
 
 	var children []sstable.Iterator
 	children = append(children, mem.NewIterator())
@@ -82,7 +89,7 @@ func (s *Session) NewIteratorOpts(ro ReadOptions) *Iterator {
 	// gets its own pipeline, so children fetch concurrently while the
 	// merge consumes them.
 	for _, f := range v.Levels[0] {
-		children = append(children, s.scanIter(f.Meta, opts, prefetch, depth))
+		children = append(children, s.scanIter(f.Meta, opts, prefetch, ra))
 	}
 	for level := 1; level < version.NumLevels; level++ {
 		files := v.Levels[level]
@@ -92,7 +99,7 @@ func (s *Session) NewIteratorOpts(ro ReadOptions) *Iterator {
 		children = append(children, iterx.Concat(keys.Compare, len(files),
 			func(i int) ([]byte, []byte) { return files[i].Smallest, files[i].Largest },
 			func(i int) sstable.Iterator {
-				return s.scanIter(files[i].Meta, opts, prefetch, depth)
+				return s.scanIter(files[i].Meta, opts, prefetch, ra)
 			}))
 	}
 
@@ -104,32 +111,17 @@ func (s *Session) NewIteratorOpts(ro ReadOptions) *Iterator {
 	}
 }
 
-// scanIter builds the scan iterator over one table. At PrefetchDepth > 1
-// on the native transport it gets its own queue pair (thread-local QP
-// discipline, §X-B: pipelined fetches must not interleave completions
-// with the session QP's synchronous reads) and a pipelined prefetcher
-// drawing buffers from the DB's shared pool. Otherwise — depth 1, the FS
-// and tmpfs transports — it reads synchronously through the session's
-// shared scratch, the historical path, untouched byte for byte.
-func (s *Session) scanIter(meta *sstable.Meta, opts sstable.Options, prefetch, depth int) sstable.Iterator {
-	db := s.db
-	if depth <= 1 || db.opts.Transport != TransportNative || meta.Data.RKey == fsRKeySentinel {
-		r := sstable.NewReader(meta, db.newFetcher(meta, s.qp, newScratchSlot(), s.client), opts)
+// scanIter builds the scan iterator over one table: pipelined through the
+// DB's shared scan pool (buffers and queue pairs, taken on the table's
+// first fetch) when ra is set, otherwise — depth 1, the FS and tmpfs
+// transports — synchronous through the session's QP and a scratch buffer
+// of its own. A pipelined reader only ever iterates, so it gets no Fetcher.
+func (s *Session) scanIter(meta *sstable.Meta, opts sstable.Options, prefetch int, ra *readahead.Config) sstable.Iterator {
+	if ra == nil || meta.Data.RKey == fsRKeySentinel {
+		r := sstable.NewReader(meta, s.db.newFetcher(meta, s.qp, newScratchSlot(), s.client), opts)
 		return r.NewIterator(prefetch)
 	}
-	r := sstable.NewReader(meta, db.newFetcher(meta, s.qp, newScratchSlot(), s.client), opts)
-	return r.NewIteratorOpts(sstable.IterOpts{
-		Prefetch: prefetch,
-		Readahead: &readahead.Config{
-			QP:        db.cn.NewQP(db.mn),
-			OwnQP:     true,
-			Base:      meta.Data,
-			Pool:      db.scanPool(),
-			Depth:     depth,
-			MaxWindow: prefetch,
-			Metrics:   db.m.scan,
-		},
-	})
+	return sstable.NewReader(meta, nil, opts).NewIteratorOpts(sstable.IterOpts{Prefetch: prefetch, Readahead: ra})
 }
 
 // newScratchSlot gives each table iterator its own scratch buffer slot;

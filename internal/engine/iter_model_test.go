@@ -34,7 +34,9 @@ func modelMatrix() []modelConfig {
 		return o
 	}
 	return []modelConfig{
-		{"byteaddr-depth1", small, ReadOptions{}},
+		{"byteaddr-default", small, ReadOptions{}},
+		{"block-default", block, ReadOptions{}},
+		{"byteaddr-depth1", small, ReadOptions{PrefetchDepth: 1}},
 		{"byteaddr-depth4-smallchunk", tiny, ReadOptions{PrefetchDepth: 4}},
 		{"block-depth4", block, ReadOptions{PrefetchDepth: 4}},
 	}

@@ -130,11 +130,12 @@ type Options struct {
 
 	// PrefetchDepth is how many readahead chunk fetches a range scan keeps
 	// in flight per table iterator (the flush pipeline's multi-buffer
-	// design applied to the read path, internal/readahead). 1 — the
-	// default — fetches each chunk synchronously, the historical behavior;
-	// higher depths overlap RDMA fetches with iteration CPU. Only the
-	// native one-sided transport pipelines; FS and tmpfs reads stay
-	// synchronous at any depth.
+	// design applied to the read path, internal/readahead): the chunk
+	// window starts at readahead.DefaultMinWindow after a seek and doubles
+	// on sequential advance up to PrefetchBytes. Default 2. 1 is the
+	// ablation: one synchronous PrefetchBytes chunk per table per seek.
+	// Only the native one-sided transport pipelines; FS and tmpfs reads
+	// stay synchronous at any depth.
 	PrefetchDepth int
 
 	// CacheBudgetBytes is the byte budget of the compute-side hot-KV cache
@@ -273,7 +274,7 @@ func DLSM() Options {
 		AsyncFlush:        true,
 		FlushBufSize:      1 << 20,
 		PrefetchBytes:     2 << 20,
-		PrefetchDepth:     1,
+		PrefetchDepth:     2,
 		SyncOverhead:      450 * time.Nanosecond,
 		ReplyBufSize:      16 << 20,
 		GCBatch:           8,

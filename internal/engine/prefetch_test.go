@@ -2,8 +2,12 @@ package engine
 
 import (
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
+	"dlsm/internal/rdma"
+	"dlsm/internal/readahead"
 	"dlsm/internal/sim"
 )
 
@@ -65,14 +69,15 @@ func TestScanPrefetchSpeedupAndEquivalence(t *testing.T) {
 	})
 }
 
-// Depth 1 must never touch the prefetch machinery: no pool, no pipelined
-// counters — the historical synchronous path, byte for byte.
+// Depth 1 — the ablation, no longer the default — must never touch the
+// prefetch machinery: no pool, no pipelined counters, one synchronous
+// PrefetchBytes read per chunk.
 func TestScanDepth1BypassesPrefetcher(t *testing.T) {
 	harness(t, smallOpts(), func(env *sim.Env, db *DB) {
 		s := db.NewSession()
 		defer s.Close()
 		loadForScan(t, s, db, 2000)
-		if got := fullScan(t, s, ReadOptions{}); got != 2000 {
+		if got := fullScan(t, s, ReadOptions{PrefetchDepth: 1}); got != 2000 {
 			t.Fatalf("scan = %d entries, want 2000", got)
 		}
 		if db.raPool != nil {
@@ -84,34 +89,154 @@ func TestScanDepth1BypassesPrefetcher(t *testing.T) {
 	})
 }
 
-// Closing an iterator mid-scan must not leak: in-flight fetches drain in
-// the background, the gauge returns to zero, abandoned bytes count as
-// wasted, and every pooled buffer comes back.
-func TestScanMidCloseDrainsInflight(t *testing.T) {
-	harness(t, smallOpts(), func(env *sim.Env, db *DB) {
+// readSizes is a fault plane that injects nothing and records the largest
+// one-sided read posted.
+type readSizes struct{ largest atomic.Int64 }
+
+func (r *readSizes) OnOp(op rdma.OpCode, from, to, bytes int) rdma.Fault {
+	if op == rdma.OpRead && int64(bytes) > r.largest.Load() {
+		r.largest.Store(int64(bytes))
+	}
+	return rdma.Fault{}
+}
+
+func (r *readSizes) LinkFactors(from, to int, now sim.Time) (float64, float64) { return 1, 1 }
+
+// The default scan path's waste bound, end to end: with DefaultOptions'
+// depth and window floor, a scan of any length prefetches at most twice
+// the chunk bytes it consumed plus Depth x MinWindow per table iterator
+// that fetched at all, and a 100-entry scan never posts a read over
+// 64 KiB — where depth 1 reads PrefetchBytes from every table it touches.
+func TestDefaultScanWasteBound(t *testing.T) {
+	const n, valSize = 16_000, 400
+	opts := smallOpts()
+	opts.MemTableSize, opts.TableSize, opts.L1MaxBytes = 1<<20, 1<<20, 4<<20
+	opts.EntrySizeHint = 420
+	harness(t, opts, func(env *sim.Env, db *DB) {
+		if d := DLSM(); db.opts.PrefetchDepth != d.PrefetchDepth || d.PrefetchDepth < 2 {
+			t.Fatalf("default PrefetchDepth = %d, harness runs %d", d.PrefetchDepth, db.opts.PrefetchDepth)
+		}
 		s := db.NewSession()
 		defer s.Close()
-		loadForScan(t, s, db, 4000)
-
-		it := s.NewIteratorOpts(ReadOptions{PrefetchDepth: 8})
-		it.First()
-		for i := 0; i < 10 && it.Valid(); i++ {
-			it.Next()
+		val := make([]byte, valSize)
+		for _, i := range rand.New(rand.NewSource(7)).Perm(n) {
+			if err := s.Put(key(i), val); err != nil {
+				t.Fatal(err)
+			}
 		}
-		it.Close()
-		it.Close() // idempotent
+		db.Flush()
+		db.WaitForCompactions()
 
-		// Let the background reapers consume the abandoned completions.
-		env.Sleep(sim.Duration(1 << 32))
-		if g := db.m.scan.Inflight.Load(); g != 0 {
-			t.Fatalf("scan.prefetch_inflight after close+drain = %d", g)
+		reads := &readSizes{}
+		db.cn.Fabric().SetInjector(reads)
+		defer db.cn.Fabric().SetInjector(nil)
+		m := db.m.scan
+		slack := int64(db.opts.PrefetchDepth * (readahead.DefaultMinWindow + valSize + 64))
+		rng := rand.New(rand.NewSource(20230401))
+		for _, length := range []int{1, 10, 100, 10_000} {
+			for round := 0; round < 8; round++ {
+				start := rng.Intn(n - length)
+				p0, w0 := m.BytesPrefetched.Load(), m.BytesWasted.Load()
+				lanes0, _ := db.scanPool().Lanes()
+				reads.largest.Store(0)
+
+				it := s.NewIterator()
+				got := 0
+				for it.SeekGE(key(start)); it.Valid() && got < length; it.Next() {
+					got++
+				}
+				if err := it.Error(); err != nil || got != length {
+					t.Fatalf("scan(%d, %d) = %d entries, %v", start, length, got, err)
+				}
+				it.Close()
+
+				fetched := m.BytesPrefetched.Load() - p0
+				consumed := fetched - (m.BytesWasted.Load() - w0)
+				lanes, _ := db.scanPool().Lanes()
+				if consumed < int64(length*valSize) {
+					t.Fatalf("scan(%d, %d) consumed %d chunk bytes", start, length, consumed)
+				}
+				if bound := 2*consumed + int64(lanes-lanes0)*slack; fetched > bound {
+					t.Errorf("scan(%d, %d): prefetched %d > 2 x %d consumed + %d fetching tables x %d",
+						start, length, fetched, consumed, lanes-lanes0, slack)
+				}
+				if big := reads.largest.Load(); length <= 100 && big > 64<<10 {
+					t.Errorf("scan(%d, %d) posted a %d-byte read", start, length, big)
+				}
+			}
+		}
+	})
+}
+
+// Scan resources over a DB's life: iterators closed mid-scan park their
+// queue pairs with the abandoned fetches instead of spawning reapers, the
+// next scans reuse them — steady state creates no queue pair, no buffer
+// and no entity — and DB.Close reaps what is still on the wire.
+func TestScanLifecycleLeavesNothingBehind(t *testing.T) {
+	harness(t, smallOpts(), func(env *sim.Env, db *DB) {
+		s := db.NewSession()
+		loadForScan(t, s, db, 4000)
+		// One L0 file over the settled levels (below the compaction
+		// trigger), so every scan merges several fetching tables.
+		for i := 0; i < 4000; i += 8 {
+			if err := s.Put(key(i), value(i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.Flush()
+		base := db.cn.NumQPs()
+
+		rng := rand.New(rand.NewSource(11))
+		midClose := func(rounds int) {
+			for i := 0; i < rounds; i++ {
+				it := s.NewIteratorOpts(ReadOptions{PrefetchDepth: 2 + 2*(i%3)})
+				it.SeekGE(key(rng.Intn(3500)))
+				for j := 0; j < 30 && it.Valid(); j++ {
+					it.Next()
+				}
+				it.Close()
+				it.Close() // idempotent
+			}
+		}
+		midClose(20)
+		if g := db.m.scan.Inflight.Load(); g == 0 {
+			t.Fatal("no mid-scan close left a fetch in flight: the test exercises nothing")
 		}
 		if w := db.m.scan.BytesWasted.Load(); w == 0 {
 			t.Fatal("mid-scan close counted no wasted bytes")
 		}
-		alloc, free := db.scanPool().Stats()
-		if alloc != free {
-			t.Fatalf("pooled buffers leaked: allocated %d, free %d", alloc, free)
+		qps, goroutines := db.cn.NumQPs(), runtime.NumGoroutine()
+		alloc, _ := db.scanPool().Stats()
+		if qps < base+2 {
+			t.Fatalf("scans took %d queue pairs, want one per concurrently fetching table", qps-base)
+		}
+		midClose(200)
+		if got := db.cn.NumQPs(); got != qps {
+			t.Errorf("steady-state scans changed the queue pair count: %d -> %d", qps, got)
+		}
+		if got := runtime.NumGoroutine(); got != goroutines {
+			t.Errorf("steady-state scans changed the entity count: %d -> %d", goroutines, got)
+		}
+		if got, _ := db.scanPool().Stats(); got != alloc {
+			t.Errorf("steady-state scans grew the buffer pool: %d -> %d", alloc, got)
+		}
+
+		pool := db.scanPool()
+		db.Close()
+		s.Close()
+		if g := db.m.scan.Inflight.Load(); g != 0 {
+			t.Errorf("scan.prefetch_inflight after DB.Close = %d", g)
+		}
+		if alloc, free := pool.Stats(); alloc != free {
+			t.Errorf("pooled buffers leaked: allocated %d, free %d", alloc, free)
+		}
+		if _, idle := pool.Lanes(); idle != 0 {
+			t.Errorf("%d scan lanes survived DB.Close", idle)
+		}
+		// Workers and the session closed theirs; a scan lane would be the
+		// only queue pair left.
+		if got := db.cn.NumQPs(); got != 0 {
+			t.Errorf("compute node holds %d queue pairs after DB.Close", got)
 		}
 	})
 }

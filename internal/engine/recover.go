@@ -62,7 +62,7 @@ func Recover(cn *rdma.Node, srv *memnode.Server, opts Options) (*DB, error) {
 	// Open with the log in recovery mode: the slot stays untouched until
 	// FinishRecovery, so a crash during replay re-runs recovery against
 	// the identical surviving state.
-	db, err := open(cn, srv, opts, true)
+	db, err := openMode(cn, srv, opts, true, false)
 	if err != nil {
 		return nil, err
 	}

@@ -247,7 +247,8 @@ func (s *Server) OpenLog(key uint64, size int64) (LogSlot, error) {
 	}
 	off, err := s.logAlloc.Alloc(int(size))
 	if err != nil {
-		return LogSlot{}, fmt.Errorf("memnode: log region full: %w", err)
+		return LogSlot{}, fmt.Errorf("memnode: log region full: a %d-byte log slot does not fit beside the %d bytes already carved from the %d-byte region (Config.LogRegionSize): %w",
+			size, s.logAlloc.Used(), s.cfg.LogRegionSize, err)
 	}
 	slot := LogSlot{Addr: s.logMR.Addr(int(off)), Size: size}
 	s.logs[key] = slot

@@ -146,6 +146,14 @@ func (n *Node) NewQP(peer *Node) *QP {
 	return qp
 }
 
+// NumQPs reports how many open queue pairs the node owns (each has one
+// worker entity).
+func (n *Node) NumQPs() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.qps)
+}
+
 // dropQP forgets a closed queue pair so short-lived QPs (one per scan
 // iterator, say) don't accumulate on the node for its whole lifetime.
 func (n *Node) dropQP(qp *QP) {

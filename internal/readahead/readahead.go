@@ -9,11 +9,9 @@
 // QP reserves wire time at post), so the network works while the iterator
 // burns CPU on parsing.
 //
-// Determinism: the scheduler spawns no entities of its own on the hot
-// path — asynchrony comes entirely from the QP's existing post/completion
-// machinery, which is already part of the deterministic cooperative
-// scheduler. Only Close of an iterator with fetches still in flight
-// spawns one reaper entity to drain them.
+// Determinism: the scheduler spawns no entities of its own — asynchrony
+// comes entirely from the QP's existing post/completion machinery, which
+// is already part of the deterministic cooperative scheduler.
 package readahead
 
 import (
@@ -25,10 +23,12 @@ import (
 	"dlsm/internal/telemetry"
 )
 
-// DefaultMinWindow is the adaptive window's starting chunk size — about
-// one "entry page" of the paper's 420-byte entries. A seek resets the
-// window here so point-lookup-shaped iterators don't over-fetch.
-const DefaultMinWindow = 4 << 10
+// DefaultMinWindow is the adaptive window's starting chunk size: 16 KiB,
+// about 40 of the paper's 420-byte entries. A seek resets the window here,
+// so a short scan pays for a few small chunks instead of a multi-MB one;
+// smaller starts cost more round trips per scan, larger ones abandon more
+// bytes on a busy link (the -fig scan sweep in EXPERIMENTS.md).
+const DefaultMinWindow = 16 << 10
 
 // ErrClosed is returned by ReadAt on a closed scheduler.
 var ErrClosed = errors.New("readahead: scheduler closed")
@@ -42,31 +42,47 @@ type Metrics struct {
 	BytesWasted     *telemetry.Counter // scan.bytes_wasted: fetched but never consumed
 }
 
-// Pool recycles registered prefetch buffers FIFO across a DB's scan
-// iterators, like the flush pipeline's free list: registration
-// (ibv_reg_mr) is expensive, so buffers are registered once and reused.
-// Chunks larger than the pool class (a single entry bigger than the max
-// window) get a dedicated registration, dropped on release.
+// Pool owns what a DB's scan iterators share and recycle: registered
+// prefetch buffers (like the flush pipeline's free list: ibv_reg_mr is
+// expensive, so buffers are registered once and reused) and the scan
+// queue pairs the fetches are posted on. Chunks larger than the buffer
+// class (a single entry bigger than the max window) get a dedicated
+// registration, dropped on release.
 type Pool struct {
-	node    *rdma.Node
-	bufSize int
+	node, peer *rdma.Node
+	bufSize    int
+	m          Metrics
 
 	mu        sync.Mutex
 	free      []*rdma.MemoryRegion
-	allocated int
+	allocated int     // pooled buffers registered
+	out       int     // of those, held by a scheduler or an abandoned fetch
+	lanes     []*lane // idle, possibly still draining abandoned fetches
+	taken     int     // takeLane calls: schedulers that fetched at all
 	closed    bool
 }
 
-// NewPool creates a pool of bufSize-byte buffers registered on node.
-func NewPool(node *rdma.Node, bufSize int) *Pool {
+// lane is a scan queue pair (thread-local QP discipline, §X-B: pipelined
+// fetches must not interleave completions with a session QP's synchronous
+// reads) and the FIFO of fetches posted on it that have not been reaped. A
+// fetch cannot be cancelled — the simulated NIC, like a real one, writes
+// into its buffer at wire-completion time — so a lane outlives the
+// Scheduler that posted on it: the next one to take the lane reaps what
+// the last one abandoned. The queue is popped by copying down (it holds
+// at most Depth+1 chunks), so it stops allocating once it has grown.
+type lane struct {
+	qp *rdma.QP
+	q  []chunk
+}
+
+// NewPool creates a pool of bufSize-byte buffers registered on node for
+// fetches from peer.
+func NewPool(node, peer *rdma.Node, bufSize int, m Metrics) *Pool {
 	if bufSize < DefaultMinWindow {
 		bufSize = DefaultMinWindow
 	}
-	return &Pool{node: node, bufSize: bufSize}
+	return &Pool{node: node, peer: peer, bufSize: bufSize, m: m}
 }
-
-// BufSize is the pooled buffer class in bytes.
-func (p *Pool) BufSize() int { return p.bufSize }
 
 // Get returns a registered buffer of at least n bytes and whether it came
 // from (and must return to) the pool.
@@ -75,9 +91,9 @@ func (p *Pool) Get(n int) (mr *rdma.MemoryRegion, pooled bool) {
 		return p.node.Register(n), false
 	}
 	p.mu.Lock()
-	if len(p.free) > 0 {
-		mr = p.free[0]
-		p.free = p.free[1:]
+	p.out++
+	if k := len(p.free) - 1; k >= 0 {
+		mr, p.free = p.free[k], p.free[:k]
 		p.mu.Unlock()
 		return mr, true
 	}
@@ -96,6 +112,7 @@ func (p *Pool) Put(mr *rdma.MemoryRegion, pooled bool) {
 		return
 	}
 	p.mu.Lock()
+	p.out--
 	if p.closed {
 		p.mu.Unlock()
 		p.node.Deregister(mr)
@@ -106,20 +123,80 @@ func (p *Pool) Put(mr *rdma.MemoryRegion, pooled bool) {
 }
 
 // Stats reports how many pooled buffers exist and how many are free.
-// allocated == free means every scan iterator has returned its buffers.
+// allocated == free means every scan iterator has returned its buffers
+// and no lane still holds an abandoned fetch.
 func (p *Pool) Stats() (allocated, free int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.allocated, len(p.free)
+	return p.allocated, p.allocated - p.out
 }
 
-// Close deregisters the free buffers; buffers still out are deregistered
-// as they come back.
+// Lanes reports how many schedulers have taken a lane so far — those that
+// fetched at all — and how many lanes sit idle.
+func (p *Pool) Lanes() (taken, idle int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.taken, len(p.lanes)
+}
+
+// takeLane hands out the most recently parked lane, creating a queue pair
+// only when none is idle. Taking a lane that is still draining abandoned
+// fetches costs no virtual time: a new fetch completes after everything
+// already on the wire anyway.
+func (p *Pool) takeLane() *lane {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.taken++
+	if k := len(p.lanes) - 1; k >= 0 {
+		l := p.lanes[k]
+		p.lanes = p.lanes[:k]
+		return l
+	}
+	return &lane{qp: p.node.NewQP(p.peer)}
+}
+
+func (p *Pool) putLane(l *lane) {
+	p.mu.Lock()
+	if !p.closed {
+		p.lanes = append(p.lanes, l)
+		p.mu.Unlock()
+		return
+	}
+	p.mu.Unlock()
+	p.reap(l)
+}
+
+// await blocks until the lane's oldest fetch completes, pops it and
+// returns its buffer's residency with the completion error.
+func (p *Pool) await(l *lane) (chunk, error) {
+	comp := l.qp.WaitCQ()
+	p.m.Inflight.Add(-1)
+	c := l.q[0]
+	l.q = l.q[:copy(l.q, l.q[1:])]
+	return c, comp.Err
+}
+
+// reap waits out a lane's abandoned fetches, releases their buffers and
+// closes its queue pair.
+func (p *Pool) reap(l *lane) {
+	for len(l.q) > 0 {
+		c, _ := p.await(l)
+		p.Put(c.mr, c.pooled)
+	}
+	l.qp.Close()
+}
+
+// Close reaps every idle lane (blocking on fetches still on the wire) and
+// deregisters the free buffers; buffers and lanes still out with open
+// iterators are released as they come back.
 func (p *Pool) Close() {
 	p.mu.Lock()
-	free := p.free
-	p.free, p.closed = nil, true
+	free, lanes := p.free, p.lanes
+	p.free, p.lanes, p.closed = nil, nil, true
 	p.mu.Unlock()
+	for _, l := range lanes {
+		p.reap(l)
+	}
 	for _, mr := range free {
 		p.node.Deregister(mr)
 	}
@@ -127,23 +204,21 @@ func (p *Pool) Close() {
 
 // Config wires a Scheduler to one table's data region.
 type Config struct {
-	QP    *rdma.QP        // fetch queue pair; must carry no other traffic
-	OwnQP bool            // Close the QP once all fetches have drained
 	Base  rdma.RemoteAddr // table data region
 	Size  int             // data region length in bytes
-	Pool  *Pool           // buffer source
+	Pool  *Pool           // buffer and queue-pair source
 	Depth int             // max in-flight chunk fetches (the pipeline depth)
 
 	// MinWindow/MaxWindow bound the adaptive chunk size: the first fetch
-	// after a seek is MinWindow bytes, doubling per chunk up to MaxWindow
-	// on sequential advance. Defaults: DefaultMinWindow / MinWindow.
+	// after a seek is MinWindow bytes, later ones grow with the bytes the
+	// run has consumed (see submitOne) up to MaxWindow. Defaults:
+	// DefaultMinWindow / MinWindow.
 	MinWindow int
 	MaxWindow int
-
-	Metrics Metrics
 }
 
-// chunk is one buffer's residency: table bytes [lo, hi).
+// chunk is one buffer's residency: table bytes [lo, hi). An abandoned
+// fetch keeps only its buffer (lo == hi, so no request ever hits it).
 type chunk struct {
 	mr     *rdma.MemoryRegion
 	lo, hi int
@@ -154,21 +229,23 @@ type chunk struct {
 // safe for concurrent use — iterators are thread-local, like their QPs.
 type Scheduler struct {
 	cfg  Config
+	m    *Metrics // the pool's
 	env  *sim.Env
 	plan func(off, want int) int
 
-	window   int     // next chunk size (adaptive)
-	next     int     // next planned fetch offset; -1 = nothing planned
-	cur      chunk   // resident chunk the consumer reads from
-	inflight []chunk // posted fetches, FIFO (completion order)
-	closed   bool
-	err      error
+	run    int   // chunk bytes consumed since the last seek; sizes the window
+	next   int   // next planned fetch offset; -1 = nothing planned
+	cur    chunk // resident chunk the consumer reads from
+	lane   *lane // posted fetches, FIFO (completion order); nil until the first
+	closed bool
+	err    error
 }
 
 // New creates a scheduler. plan(off, want) returns the end offset of the
 // chunk starting at off spanning at least want bytes, aligned so no entry
 // or block straddles two chunks (sstable.Reader supplies this from its
-// index); it must make progress (end > off) for every off < Size.
+// index); it must make progress (end > off) for every off < Size. A
+// scheduler that never fetches holds no queue pair and no buffer.
 func New(cfg Config, plan func(off, want int) int) *Scheduler {
 	if cfg.MinWindow <= 0 {
 		cfg.MinWindow = DefaultMinWindow
@@ -180,11 +257,11 @@ func New(cfg Config, plan func(off, want int) int) *Scheduler {
 		cfg.Depth = 1
 	}
 	return &Scheduler{
-		cfg:    cfg,
-		env:    cfg.QP.Node().Fabric().Env(),
-		plan:   plan,
-		window: cfg.MinWindow,
-		next:   -1,
+		cfg:  cfg,
+		m:    &cfg.Pool.m,
+		env:  cfg.Pool.node.Fabric().Env(),
+		plan: plan,
+		next: -1,
 	}
 }
 
@@ -206,37 +283,33 @@ func (s *Scheduler) ReadAt(lo, hi int) ([]byte, int, error) {
 		s.fill()
 		return s.slice(), s.cur.lo, nil
 	}
+	if s.lane == nil {
+		s.lane = s.cfg.Pool.takeLane()
+	}
 
 	// Drop pipeline heads the consumer skipped entirely (a seek within
 	// the planned run, or chunks whose every entry was invisible).
 	hit := -1
-	for i, c := range s.inflight {
+	for i, c := range s.lane.q {
 		if lo >= c.lo && hi <= c.hi {
 			hit = i
 			break
 		}
 	}
-	if hit == 0 {
-		// Sequential advance onto the pipeline head: the consumer is
-		// keeping up, so widen future chunks. Growing here — rather than
-		// per submission — keeps a deep pipeline's initial burst at
-		// Depth x MinWindow, so short scans abandon little.
-		s.grow()
-	}
 	if hit < 0 {
 		// Miss: the request is outside everything posted. Reset the
 		// window and replan from lo. The covering chunk is posted FIRST —
-		// appending behind the abandoned fetches keeps QP FIFO order
-		// while its wire time overlaps their (already paid) drain.
-		abandoned := len(s.inflight)
-		s.window = s.cfg.MinWindow
+		// appending behind the abandoned fetches (this scheduler's, or the
+		// lane's previous owner's) keeps QP FIFO order while its wire time
+		// overlaps their (already paid) drain.
+		hit = len(s.lane.q)
+		s.run = 0
 		s.next = lo
 		s.submitOne(hi - lo)
-		hit = abandoned
 	}
 	for i := 0; i < hit; i++ {
 		c := s.awaitHead()
-		s.cfg.Metrics.BytesWasted.Add(int64(c.hi - c.lo))
+		s.m.BytesWasted.Add(int64(c.hi - c.lo))
 		s.release(c)
 	}
 	s.release(s.cur)
@@ -244,21 +317,32 @@ func (s *Scheduler) ReadAt(lo, hi int) ([]byte, int, error) {
 	if s.err != nil {
 		return nil, 0, s.err
 	}
+	s.run += s.cur.hi - s.cur.lo
 	s.fill()
 	return s.slice(), s.cur.lo, nil
 }
 
 // fill tops the pipeline up to Depth outstanding fetches.
 func (s *Scheduler) fill() {
-	for len(s.inflight) < s.cfg.Depth && s.next >= 0 && s.next < s.cfg.Size {
+	for len(s.lane.q) < s.cfg.Depth && s.next >= 0 && s.next < s.cfg.Size {
 		s.submitOne(0)
 	}
 }
 
 // submitOne posts the next chunk fetch of at least minSpan bytes at the
-// current window size.
+// current window size: 1/Depth of what the run has consumed, within
+// [MinWindow, MaxWindow]. The Depth fetches in flight therefore never
+// total more than the run has consumed plus Depth x MinWindow — closing or
+// seeking away abandons at most that — while a long scan still ramps
+// geometrically to MaxWindow chunks.
 func (s *Scheduler) submitOne(minSpan int) {
-	want := s.window
+	want := s.run / s.cfg.Depth
+	if want > s.cfg.MaxWindow {
+		want = s.cfg.MaxWindow
+	}
+	if want < s.cfg.MinWindow {
+		want = s.cfg.MinWindow
+	}
 	if minSpan > want {
 		want = minSpan
 	}
@@ -269,34 +353,23 @@ func (s *Scheduler) submitOne(minSpan int) {
 	}
 	n := end - s.next
 	mr, pooled := s.cfg.Pool.Get(n)
-	s.cfg.QP.Read(mr, 0, s.cfg.Base.Add(s.next), n, 0)
-	s.cfg.Metrics.BytesPrefetched.Add(int64(n))
-	s.cfg.Metrics.Inflight.Add(1)
-	s.inflight = append(s.inflight, chunk{mr: mr, lo: s.next, hi: end, pooled: pooled})
+	s.lane.qp.Read(mr, 0, s.cfg.Base.Add(s.next), n, 0)
+	s.m.BytesPrefetched.Add(int64(n))
+	s.m.Inflight.Add(1)
+	s.lane.q = append(s.lane.q, chunk{mr: mr, lo: s.next, hi: end, pooled: pooled})
 	s.next = end
-}
-
-// grow doubles the adaptive window up to MaxWindow.
-func (s *Scheduler) grow() {
-	s.window *= 2
-	if s.window > s.cfg.MaxWindow {
-		s.window = s.cfg.MaxWindow
-	}
 }
 
 // awaitHead blocks until the oldest in-flight fetch completes and pops
 // it. Time spent blocked is the pipeline's stall time.
 func (s *Scheduler) awaitHead() chunk {
 	t0 := s.env.Now()
-	comp := s.cfg.QP.WaitCQ()
+	c, err := s.cfg.Pool.await(s.lane)
 	if d := s.env.Now() - t0; d > 0 {
-		s.cfg.Metrics.StallNS.Add(int64(d))
+		s.m.StallNS.Add(int64(d))
 	}
-	s.cfg.Metrics.Inflight.Add(-1)
-	c := s.inflight[0]
-	s.inflight = s.inflight[1:]
-	if comp.Err != nil && s.err == nil {
-		s.err = comp.Err
+	if err != nil && s.err == nil {
+		s.err = err
 	}
 	return c
 }
@@ -309,13 +382,10 @@ func (s *Scheduler) release(c chunk) {
 	s.cfg.Pool.Put(c.mr, c.pooled)
 }
 
-// Close releases the scheduler's buffers; it is idempotent and never
-// blocks. Fetches still in flight cannot be cancelled — the simulated NIC
-// (like a real one) writes into their buffers at wire-completion time —
-// so a reaper entity drains them, counts their bytes as wasted, returns
-// the buffers to the pool, and only then closes an owned QP. Without this
-// a mid-scan Close would leak registered MRs and race the completing
-// fetch's buffer write.
+// Close releases the resident buffer and parks the lane; it is idempotent
+// and never blocks. Fetches still in flight are abandoned: their bytes
+// count as wasted now, and whoever takes the lane next (or Pool.Close)
+// reaps them and returns their buffers.
 func (s *Scheduler) Close() {
 	if s.closed {
 		return
@@ -323,24 +393,14 @@ func (s *Scheduler) Close() {
 	s.closed = true
 	s.release(s.cur)
 	s.cur = chunk{}
-	pending := s.inflight
-	s.inflight = nil
-	if len(pending) == 0 {
-		if s.cfg.OwnQP {
-			s.cfg.QP.Close()
-		}
+	if s.lane == nil {
 		return
 	}
-	qp, pool, m, own := s.cfg.QP, s.cfg.Pool, s.cfg.Metrics, s.cfg.OwnQP
-	s.env.Go(func() {
-		for _, c := range pending {
-			qp.WaitCQ()
-			m.Inflight.Add(-1)
-			m.BytesWasted.Add(int64(c.hi - c.lo))
-			pool.Put(c.mr, c.pooled)
-		}
-		if own {
-			qp.Close()
-		}
-	})
+	for i := range s.lane.q {
+		c := &s.lane.q[i]
+		s.m.BytesWasted.Add(int64(c.hi - c.lo))
+		c.lo, c.hi = 0, 0
+	}
+	s.cfg.Pool.putLane(s.lane)
+	s.lane = nil
 }

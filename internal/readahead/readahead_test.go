@@ -3,6 +3,7 @@ package readahead
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"dlsm/internal/rdma"
@@ -36,16 +37,17 @@ func withRig(t *testing.T, size, poolBuf int, fn func(r *rig)) {
 		mr := mn.Register(size)
 		copy(mr.Bytes(0, size), data)
 		reg := telemetry.NewRegistry(nil)
+		m := Metrics{
+			Inflight:        reg.Gauge("inflight"),
+			StallNS:         reg.Counter("stall"),
+			BytesPrefetched: reg.Counter("prefetched"),
+			BytesWasted:     reg.Counter("wasted"),
+		}
 		fn(&rig{
 			env: env, cn: cn, mn: mn,
 			base: mr.Addr(0), data: data,
-			pool: NewPool(cn, poolBuf),
-			m: Metrics{
-				Inflight:        reg.Gauge("inflight"),
-				StallNS:         reg.Counter("stall"),
-				BytesPrefetched: reg.Counter("prefetched"),
-				BytesWasted:     reg.Counter("wasted"),
-			},
+			pool: NewPool(cn, mn, poolBuf, m),
+			m:    m,
 		})
 		fab.Close()
 	})
@@ -57,15 +59,12 @@ func withRig(t *testing.T, size, poolBuf int, fn func(r *rig)) {
 func (r *rig) sched(depth, minW, maxW int) *Scheduler {
 	size := len(r.data)
 	return New(Config{
-		QP:        r.cn.NewQP(r.mn),
-		OwnQP:     true,
 		Base:      r.base,
 		Size:      size,
 		Pool:      r.pool,
 		Depth:     depth,
 		MinWindow: minW,
 		MaxWindow: maxW,
-		Metrics:   r.m,
 	}, func(off, want int) int {
 		end := off + want
 		if end > size {
@@ -75,7 +74,9 @@ func (r *rig) sched(depth, minW, maxW int) *Scheduler {
 	})
 }
 
-func TestPoolRecyclesFIFO(t *testing.T) {
+// The free list is a stack: the buffer released last is the warmest, and
+// a stack neither walks its backing array forward nor reallocates it.
+func TestPoolRecyclesLIFO(t *testing.T) {
 	withRig(t, 1<<10, 8<<10, func(r *rig) {
 		a, ap := r.pool.Get(4 << 10)
 		b, bp := r.pool.Get(4 << 10)
@@ -86,8 +87,8 @@ func TestPoolRecyclesFIFO(t *testing.T) {
 		r.pool.Put(b, bp)
 		c, _ := r.pool.Get(4 << 10)
 		d, _ := r.pool.Get(4 << 10)
-		if c != a || d != b {
-			t.Fatal("pool did not recycle FIFO")
+		if c != b || d != a {
+			t.Fatal("pool did not recycle LIFO")
 		}
 		if alloc, _ := r.pool.Stats(); alloc != 2 {
 			t.Fatalf("allocated = %d, want 2", alloc)
@@ -139,17 +140,16 @@ func TestSchedulerSequentialDelivery(t *testing.T) {
 	})
 }
 
-// The adaptive window starts at MinWindow, doubles per chunk on
-// sequential advance, and resets to MinWindow on a seek outside the
+// The adaptive window starts at MinWindow, tracks 1/Depth of the bytes
+// the run has consumed, and resets to MinWindow on a seek outside the
 // planned run.
 func TestSchedulerAdaptiveWindow(t *testing.T) {
-	const size = 256 << 10
+	const size, kb = 256 << 10, 1 << 10
 	withRig(t, size, 64<<10, func(r *rig) {
 		var wants []int
 		s := New(Config{
-			QP: r.cn.NewQP(r.mn), OwnQP: true, Base: r.base, Size: size,
-			Pool: r.pool, Depth: 3, MinWindow: 1 << 10, MaxWindow: 8 << 10,
-			Metrics: r.m,
+			Base: r.base, Size: size,
+			Pool: r.pool, Depth: 2, MinWindow: kb, MaxWindow: 3 * kb,
 		}, func(off, want int) int {
 			wants = append(wants, want)
 			end := off + want
@@ -158,35 +158,35 @@ func TestSchedulerAdaptiveWindow(t *testing.T) {
 			}
 			return end
 		})
-		if _, _, err := s.ReadAt(0, 64); err != nil {
-			t.Fatal(err)
+		expect := func(what string, want ...int) {
+			t.Helper()
+			if fmt.Sprint(wants) != fmt.Sprint(want) {
+				t.Fatalf("%s wants = %v, want %v", what, wants, want)
+			}
+			wants = nil
+		}
+		read := func(off int) {
+			t.Helper()
+			if _, _, err := s.ReadAt(off, off+64); err != nil {
+				t.Fatal(err)
+			}
 		}
 		// The covering chunk plus the Depth refills all post at MinWindow:
-		// the initial burst of a deep pipeline stays small.
-		want := []int{1 << 10, 1 << 10, 1 << 10, 1 << 10}
-		if fmt.Sprint(wants) != fmt.Sprint(want) {
-			t.Fatalf("initial wants = %v, want %v", wants, want)
-		}
-		// Each sequential advance onto the pipeline head doubles the
-		// window for the chunk the refill posts.
-		wants = nil
-		if _, _, err := s.ReadAt(1<<10, 1<<10+64); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := s.ReadAt(2<<10, 2<<10+64); err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprint(wants) != fmt.Sprint([]int{2 << 10, 4 << 10}) {
-			t.Fatalf("advance wants = %v, want [2048 4096]", wants)
-		}
+		// nothing is consumed yet, so the initial burst stays small.
+		read(0)
+		expect("initial", kb, kb, kb)
+		// Chunks are [0,1) [1,2) [2,3) KiB; each advance posts one refill
+		// sized at half of what the run has consumed so far.
+		read(1 * kb) // consumed 2 KiB -> 1 KiB
+		read(2 * kb) // consumed 3 KiB -> 1.5 KiB
+		read(3 * kb) // consumed 4 KiB -> 2 KiB
+		expect("advance", kb, kb+kb/2, 2*kb)
+		read(4 * kb)      // consumed 5.5 KiB -> 2.75 KiB
+		read(5*kb + kb/2) // consumed 7.5 KiB -> capped at MaxWindow
+		expect("ramp", 2*kb+3*kb/4, 3*kb)
 		// Seek far outside the planned run: window must reset.
-		wants = nil
-		if _, _, err := s.ReadAt(128<<10, 128<<10+64); err != nil {
-			t.Fatal(err)
-		}
-		if len(wants) == 0 || wants[0] != 1<<10 {
-			t.Fatalf("post-seek wants = %v, want leading %d", wants, 1<<10)
-		}
+		read(128 * kb)
+		expect("post-seek", kb, kb, kb)
 		if r.m.BytesWasted.Load() == 0 {
 			t.Fatal("seek abandoned no bytes")
 		}
@@ -194,35 +194,114 @@ func TestSchedulerAdaptiveWindow(t *testing.T) {
 	})
 }
 
-// Close with fetches still in flight must return every buffer to the pool
-// (via the background reaper), zero the inflight gauge and count the
-// abandoned bytes as wasted.
-func TestSchedulerCloseDrainsInflight(t *testing.T) {
+// The waste bound the default scan path rests on: however long a scan
+// runs before it is closed, one table iterator prefetches at most twice
+// the chunk bytes it consumed plus Depth x MinWindow, and a scan of about
+// a hundred 420-byte entries never posts a read over 64 KiB.
+func TestSchedulerWasteBound(t *testing.T) {
+	const size, entry = 8 << 20, 420
+	rng := rand.New(rand.NewSource(20230401))
+	for _, depth := range []int{2, 4, 8} {
+		for _, entries := range []int{1, 10, 100, 10_000} {
+			withRig(t, size, 2<<20, func(r *rig) {
+				largest := 0
+				s := New(Config{
+					Base: r.base, Size: size, Pool: r.pool,
+					Depth: depth, MaxWindow: 2 << 20,
+				}, func(off, want int) int {
+					end := off + (want+entry-1)/entry*entry // whole entries
+					if end > size {
+						end = size
+					}
+					if end-off > largest {
+						largest = end - off
+					}
+					return end
+				})
+				start := rng.Intn(size/entry-entries) * entry
+				for i := 0; i < entries; i++ {
+					off := start + i*entry
+					if _, _, err := s.ReadAt(off, off+entry); err != nil {
+						t.Fatal(err)
+					}
+				}
+				s.Close()
+				fetched, wasted := r.m.BytesPrefetched.Load(), r.m.BytesWasted.Load()
+				consumed := fetched - wasted
+				// Chunks round up to whole entries: one entry of slack each.
+				bound := 2*consumed + int64(depth*(DefaultMinWindow+entry))
+				if consumed < int64(entries*entry) || fetched > bound {
+					t.Errorf("depth %d, %d entries: prefetched %d, consumed %d, bound %d",
+						depth, entries, fetched, consumed, bound)
+				}
+				if depth == 2 && entries <= 100 && largest > 64<<10 {
+					t.Errorf("%d-entry scan posted a %d-byte read", entries, largest)
+				}
+			})
+		}
+	}
+}
+
+// Close with fetches still in flight never blocks and spawns nothing: the
+// abandoned bytes count as wasted at once, the lane is parked with its
+// fetches, and the next scheduler on the pool takes the same queue pair
+// and reaps them behind its own first fetch.
+func TestSchedulerCloseParksLaneForNextTaker(t *testing.T) {
 	const size = 256 << 10
 	withRig(t, size, 8<<10, func(r *rig) {
 		s := r.sched(4, 8<<10, 8<<10)
 		if _, _, err := s.ReadAt(0, 64); err != nil {
 			t.Fatal(err)
 		}
-		if r.m.Inflight.Load() == 0 {
-			t.Fatal("pipeline did not fill")
+		if r.m.Inflight.Load() != 4 {
+			t.Fatalf("pipeline did not fill: inflight = %d", r.m.Inflight.Load())
 		}
+		t0 := r.env.Now()
 		s.Close()
 		s.Close() // idempotent
+		if r.env.Now() != t0 {
+			t.Fatal("Close blocked")
+		}
 		if _, _, err := s.ReadAt(64, 128); err != ErrClosed {
 			t.Fatalf("ReadAt after Close = %v, want ErrClosed", err)
 		}
-		// Let the reaper drain the in-flight completions.
-		r.env.Sleep(sim.Duration(1 << 30))
+		if w := r.m.BytesWasted.Load(); w != 4*8<<10 {
+			t.Fatalf("bytes_wasted after Close = %d, want %d", w, 4*8<<10)
+		}
+		qps := r.cn.NumQPs()
+
+		// A scheduler that never reads takes no lane.
+		r.sched(2, 8<<10, 8<<10).Close()
+		if g := r.m.Inflight.Load(); g != 4 {
+			t.Fatalf("idle scheduler touched the lane: inflight = %d", g)
+		}
+
+		s2 := r.sched(2, 8<<10, 8<<10)
+		b, lo, err := s2.ReadAt(128<<10, 128<<10+64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b[:64], r.data[lo:lo+64]) {
+			t.Fatal("bytes mismatch after reaping an inherited lane")
+		}
+		if got := r.cn.NumQPs(); got != qps {
+			t.Fatalf("second scheduler created a queue pair: %d -> %d", qps, got)
+		}
+		if g := r.m.Inflight.Load(); g != 2 {
+			t.Fatalf("inflight = %d after reaping, want the new pipeline's 2", g)
+		}
+		if w := r.m.BytesWasted.Load(); w != 4*8<<10 {
+			t.Fatalf("inherited fetches counted as wasted twice: %d", w)
+		}
+		s2.Close()
+
+		// Pool.Close reaps what is still on the wire and closes the lanes.
+		r.pool.Close()
 		if g := r.m.Inflight.Load(); g != 0 {
-			t.Fatalf("inflight gauge after drain = %d", g)
+			t.Fatalf("inflight gauge after Pool.Close = %d", g)
 		}
-		alloc, free := r.pool.Stats()
-		if alloc != free {
-			t.Fatalf("buffers leaked: allocated %d, free %d", alloc, free)
-		}
-		if r.m.BytesWasted.Load() == 0 {
-			t.Fatal("abandoned fetches not counted as wasted")
+		if got := r.cn.NumQPs(); got != qps-1 {
+			t.Fatalf("Pool.Close left %d queue pairs, want %d", got, qps-1)
 		}
 	})
 }

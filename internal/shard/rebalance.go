@@ -265,7 +265,12 @@ func (db *DB) openShard(srv int) (entry, error) {
 		opts.WALFence = hold.client.Addr()
 		opts.WALFenceWord = hold.l.Word()
 	}
-	e := entry{eng: engine.Open(db.cn, db.servers[srv], opts), id: id, srv: srv}
+	eng, err := engine.TryOpen(db.cn, db.servers[srv], opts)
+	if err != nil {
+		db.dropLease(id)
+		return entry{}, fmt.Errorf("shard %d: %w", id, err)
+	}
+	e := entry{eng: eng, id: id, srv: srv}
 	if db.baseOpts.AutoBalance {
 		e.sampler = newKeySampler()
 	}
@@ -276,10 +281,16 @@ func (db *DB) openShard(srv int) (entry, error) {
 // (failure paths) and hands back its lease.
 func (db *DB) abandonShard(e entry) {
 	e.eng.Close()
-	if h, ok := db.leases[e.id]; ok {
+	db.dropLease(e.id)
+}
+
+// dropLease hands back the write lease of a shard that never entered the
+// routing table, if the DB is leased at all.
+func (db *DB) dropLease(id int) {
+	if h, ok := db.leases[id]; ok {
 		_ = h.client.Release(h.l)
 		h.client.Close()
-		delete(db.leases, e.id)
+		delete(db.leases, id)
 	}
 }
 

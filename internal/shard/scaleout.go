@@ -79,11 +79,11 @@ func openLeased(cn *rdma.Node, servers []*memnode.Server, lambda int, boundaries
 		e := entry{id: i, srv: i % len(servers)}
 		if takeover {
 			e.eng, err = engine.Recover(cn, srv, opts)
-			if err != nil {
-				return fail(fmt.Errorf("shard %d: %w", i, err))
-			}
 		} else {
-			e.eng = engine.Open(cn, srv, opts)
+			e.eng, err = engine.TryOpen(cn, srv, opts)
+		}
+		if err != nil {
+			return fail(fmt.Errorf("shard %d: %w", i, err))
 		}
 		if opts.AutoBalance {
 			e.sampler = newKeySampler()

@@ -182,7 +182,12 @@ func New(cn *rdma.Node, servers []*memnode.Server, lambda int, boundaries [][]by
 	var entries []entry
 	for i := 0; i < lambda; i++ {
 		opts.WALShard = i
-		e := entry{eng: engine.Open(cn, servers[i%len(servers)], opts), id: i, srv: i % len(servers)}
+		eng, err := engine.TryOpen(cn, servers[i%len(servers)], opts)
+		if err != nil {
+			closeEntries(entries)
+			return nil, fmt.Errorf("shard %d: %w", i, err)
+		}
+		e := entry{eng: eng, id: i, srv: i % len(servers)}
 		if opts.AutoBalance {
 			e.sampler = newKeySampler()
 		}

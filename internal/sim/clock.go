@@ -55,7 +55,17 @@ type waiter struct {
 	where  string // description for deadlock reports
 	state  int    // pending / fired / canceled
 	parked bool   // owner is inside Alarm.Wait (alarms only)
+	sleep  bool   // pooled Sleep/WaitUntil waiter: woken by a send, not a close
 }
+
+// sleepWaiters recycles the waiters of Sleep and WaitUntil, the kernel's
+// hottest allocation (one per modeled CPU charge). A sleep has exactly one
+// receiver, so its channel has capacity 1 and is woken by a send, which
+// leaves it empty and reusable; alarms and Ready gates can be observed by
+// a second party and keep close.
+var sleepWaiters = sync.Pool{New: func() any {
+	return &waiter{ch: make(chan struct{}, 1), sleep: true}
+}}
 
 type waitHeap []*waiter
 
@@ -161,7 +171,8 @@ func (c *Clock) WaitUntil(t Time) {
 // sleepUntilLocked enqueues the caller on the wait heap and releases the
 // clock lock. The caller must hold c.mu.
 func (c *Clock) sleepUntilLocked(t Time, where string) {
-	w := &waiter{at: t, seq: c.seq, ch: make(chan struct{}), where: where}
+	w := sleepWaiters.Get().(*waiter)
+	w.at, w.seq, w.where, w.state = t, c.seq, where, waiterPending
 	c.seq++
 	heap.Push(&c.heap, w)
 	c.runners--
@@ -171,6 +182,7 @@ func (c *Clock) sleepUntilLocked(t Time, where string) {
 		panic("sim: deadlock — all entities blocked: " + dead)
 	}
 	<-w.ch
+	sleepWaiters.Put(w)
 }
 
 // Block parks the calling entity on an external primitive (mutex queue,
@@ -242,7 +254,11 @@ func (c *Clock) maybeAdvanceLocked() (deadlock string) {
 	w.state = waiterFired
 	c.now = w.at
 	c.runners++
-	close(w.ch)
+	if w.sleep {
+		w.ch <- struct{}{}
+	} else {
+		close(w.ch)
+	}
 	return ""
 }
 

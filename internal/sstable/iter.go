@@ -31,12 +31,13 @@ type IterOpts struct {
 	// multi-MB chunks so range scans do one large RDMA read instead of
 	// many small ones); 0 fetches one entry/block at a time.
 	Prefetch int
-	// Readahead, when non-nil with Depth > 1, pipelines chunk fetches on
-	// the config's queue pair so the network overlaps iteration CPU;
-	// chunks are planned on entry/block boundaries from the table index,
-	// with an adaptive window growing from one entry-page to Prefetch.
-	// Size and MaxWindow are filled in from the table. Nil (or Depth <= 1)
-	// is the synchronous path, byte-identical to NewIterator.
+	// Readahead, when non-nil with Depth > 1, pipelines chunk fetches on a
+	// scan queue pair so the network overlaps iteration CPU; chunks are
+	// planned on entry/block boundaries from the table index, with an
+	// adaptive window growing from MinWindow to Prefetch. The config is
+	// shared read-only by every table of a scan: Base, Size and MaxWindow
+	// are filled in per table. Nil (or Depth <= 1) is the synchronous path
+	// through the reader's Fetcher.
 	Readahead *readahead.Config
 }
 
@@ -48,19 +49,79 @@ func (r *Reader) NewIterator(prefetch int) Iterator {
 
 // NewIteratorOpts is NewIterator with an explicit prefetch policy.
 func (r *Reader) NewIteratorOpts(o IterOpts) Iterator {
-	var ra *readahead.Scheduler
+	w := window{r: r, prefetch: o.Prefetch}
 	if o.Readahead != nil && o.Readahead.Depth > 1 {
-		cfg := *o.Readahead
-		cfg.Size = int(r.meta.Size)
-		if cfg.MaxWindow <= 0 {
-			cfg.MaxWindow = o.Prefetch
-		}
-		ra = readahead.New(cfg, r.chunkEnd)
+		w.raCfg = o.Readahead
 	}
 	if r.meta.Format == ByteAddr {
-		return &byteAddrIter{r: r, prefetch: o.Prefetch, pos: -1, ra: ra}
+		return &byteAddrIter{window: w, pos: -1}
 	}
-	return &blockIter{r: r, prefetch: o.Prefetch, bi: -1, ra: ra}
+	return &blockIter{window: w, bi: -1}
+}
+
+// window is the resident run of table bytes both iterators slice entries
+// out of. A miss refills it synchronously through the reader's Fetcher,
+// or through a pipelined readahead.Scheduler built on the first miss — so
+// a merge child that never surfaces a value never costs a queue pair.
+type window struct {
+	r        *Reader
+	prefetch int
+	raCfg    *readahead.Config    // nil = synchronous fetches
+	ra       *readahead.Scheduler // built lazily from raCfg
+	chunk    []byte
+	lo, hi   int
+}
+
+// bytes returns table bytes [lo, hi), reading ahead by the prefetch
+// window on a miss.
+func (w *window) bytes(lo, hi int) ([]byte, error) {
+	if lo < w.lo || hi > w.hi {
+		if err := w.refill(lo, hi); err != nil {
+			return nil, err
+		}
+	}
+	return w.chunk[lo-w.lo : hi-w.lo], nil
+}
+
+func (w *window) refill(lo, hi int) error {
+	if w.raCfg != nil {
+		if w.ra == nil {
+			cfg := *w.raCfg
+			cfg.Base, cfg.Size = w.r.meta.Data, int(w.r.meta.Size)
+			if cfg.MaxWindow <= 0 {
+				cfg.MaxWindow = w.prefetch
+			}
+			w.ra = readahead.New(cfg, w.r.chunkEnd)
+		}
+		b, clo, err := w.ra.ReadAt(lo, hi)
+		if err != nil {
+			return err
+		}
+		w.chunk, w.lo, w.hi = b, clo, clo+len(b)
+		return nil
+	}
+	n := hi - lo
+	if n < w.prefetch {
+		n = w.prefetch
+	}
+	if max := int(w.r.meta.Size) - lo; n > max {
+		n = max
+	}
+	b, err := w.r.fetch.ReadAt(lo, n)
+	if err != nil {
+		return err
+	}
+	w.chunk, w.lo, w.hi = b, lo, lo+n
+	return nil
+}
+
+// Close releases the pipelined prefetcher, if one was ever built, and
+// makes sure none is built afterwards.
+func (w *window) Close() {
+	if w.ra != nil {
+		w.ra.Close()
+	}
+	w.ra, w.raCfg = nil, nil
 }
 
 // chunkEnd plans readahead chunk boundaries: the end of the smallest run
@@ -99,14 +160,9 @@ func (r *Reader) recordEnd(i int) int {
 // for free, values are sliced out of the prefetched chunk with no block
 // unwrapping.
 type byteAddrIter struct {
-	r        *Reader
-	prefetch int
-	ra       *readahead.Scheduler // nil = synchronous fetches
-	pos      int
-	chunk    []byte
-	chunkLo  int
-	chunkHi  int
-	err      error
+	window
+	pos int
+	err error
 }
 
 func (it *byteAddrIter) First() { it.setPos(0) }
@@ -136,65 +192,24 @@ func (it *byteAddrIter) Key() []byte {
 
 func (it *byteAddrIter) Value() []byte {
 	_, off, klen, vlen := it.r.meta.Index.Record(it.pos)
-	lo, hi := int(off)+int(klen), int(off)+int(klen)+int(vlen)
-	if err := it.ensure(lo, hi); err != nil {
-		it.err = err
-		return nil
-	}
-	return it.chunk[lo-it.chunkLo : hi-it.chunkLo]
-}
-
-// ensure makes [lo, hi) resident in the chunk, reading ahead by the
-// prefetch window.
-func (it *byteAddrIter) ensure(lo, hi int) error {
-	if lo >= it.chunkLo && hi <= it.chunkHi {
-		return nil
-	}
-	if it.ra != nil {
-		b, clo, err := it.ra.ReadAt(lo, hi)
-		if err != nil {
-			return err
-		}
-		it.chunk, it.chunkLo, it.chunkHi = b, clo, clo+len(b)
-		return nil
-	}
-	n := hi - lo
-	if n < it.prefetch {
-		n = it.prefetch
-	}
-	if max := int(it.r.meta.Size) - lo; n > max {
-		n = max
-	}
-	b, err := it.r.fetch.ReadAt(lo, n)
+	lo := int(off) + int(klen)
+	v, err := it.bytes(lo, lo+int(vlen))
 	if err != nil {
-		return err
+		it.err = err
 	}
-	it.chunk, it.chunkLo, it.chunkHi = b, lo, lo+n
-	return nil
+	return v
 }
 
 func (it *byteAddrIter) Error() error { return it.err }
 
-func (it *byteAddrIter) Close() {
-	if it.ra != nil {
-		it.ra.Close()
-		it.ra = nil
-	}
-}
-
 // blockIter walks block-format tables: every block crossing pays a fetch
 // (or a slice of the prefetched run) plus unwrap CPU.
 type blockIter struct {
-	r        *Reader
-	prefetch int
-	ra       *readahead.Scheduler // nil = synchronous fetches
-	bi       int                  // current block index, -1 unpositioned
-	ei       int                  // entry index within block
-	blk      *block
-	chunk    []byte
-	chunkLo  int
-	chunkHi  int
-	err      error
+	window
+	bi  int // current block index, -1 unpositioned
+	ei  int // entry index within block
+	blk *block
+	err error
 }
 
 func (it *blockIter) First() {
@@ -252,32 +267,11 @@ func (it *blockIter) loadBlock(bi int) bool {
 		return false
 	}
 	_, off, blen, _ := ix.Record(bi)
-	lo, hi := int(off), int(off)+int(blen)
-	if lo < it.chunkLo || hi > it.chunkHi {
-		if it.ra != nil {
-			b, clo, err := it.ra.ReadAt(lo, hi)
-			if err != nil {
-				it.err = err
-				return false
-			}
-			it.chunk, it.chunkLo, it.chunkHi = b, clo, clo+len(b)
-		} else {
-			n := hi - lo
-			if n < it.prefetch {
-				n = it.prefetch
-			}
-			if max := int(it.r.meta.Size) - lo; n > max {
-				n = max
-			}
-			b, err := it.r.fetch.ReadAt(lo, n)
-			if err != nil {
-				it.err = err
-				return false
-			}
-			it.chunk, it.chunkLo, it.chunkHi = b, lo, lo+n
-		}
+	raw, err := it.bytes(int(off), int(off)+int(blen))
+	if err != nil {
+		it.err = err
+		return false
 	}
-	raw := it.chunk[lo-it.chunkLo : hi-it.chunkLo]
 	blk, err := parseBlock(raw)
 	if err != nil {
 		it.err = err
@@ -300,10 +294,3 @@ func (it *blockIter) Value() []byte {
 }
 
 func (it *blockIter) Error() error { return it.err }
-
-func (it *blockIter) Close() {
-	if it.ra != nil {
-		it.ra.Close()
-		it.ra = nil
-	}
-}

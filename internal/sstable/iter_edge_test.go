@@ -33,7 +33,7 @@ func uniformEntries(n, valSize int) []entry {
 // remoteTable builds a table from entries, places it in a registered
 // region on a simulated memory node and runs fn inside the simulation
 // with iterator factories for both the synchronous path and, when
-// depth > 1, a pipelined-readahead path on its own QP.
+// depth > 1, a pipelined-readahead path on a pooled scan QP.
 func remoteTable(t *testing.T, format Format, blockSize int, entries []entry,
 	fn func(env *sim.Env, r *Reader, newIter func(prefetch, depth int) Iterator)) {
 	t.Helper()
@@ -63,17 +63,14 @@ func remoteTable(t *testing.T, format Format, blockSize int, entries []entry,
 		}
 		qp := cn.NewQP(mn)
 		r := NewReader(meta, NewQPFetcher(qp, meta.Data), Options{})
-		pool := readahead.NewPool(cn, 1<<20)
+		pool := readahead.NewPool(cn, mn, 1<<20, readahead.Metrics{})
 		newIter := func(prefetch, depth int) Iterator {
 			if depth <= 1 {
 				return r.NewIterator(prefetch)
 			}
 			return r.NewIteratorOpts(IterOpts{
-				Prefetch: prefetch,
-				Readahead: &readahead.Config{
-					QP: cn.NewQP(mn), OwnQP: true, Base: meta.Data,
-					Pool: pool, Depth: depth, MaxWindow: prefetch,
-				},
+				Prefetch:  prefetch,
+				Readahead: &readahead.Config{Pool: pool, Depth: depth, MaxWindow: prefetch},
 			})
 		}
 		fn(env, r, newIter)

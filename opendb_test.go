@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -233,4 +234,47 @@ func TestOpenDBScaleoutCrossEquivalence(t *testing.T) {
 		nb.Close()
 	})
 	d.Close()
+}
+
+// TestOpenDBWALSlotsExceedLogRegion: four shards' default WAL slots
+// (8 MemTables = 32 MiB each) do not fit the default 64 MiB log region.
+// That is a sizing mistake in the caller's configuration, so OpenDB must
+// report it — naming the slot and the region — instead of panicking, and
+// the same placement must open once the region is large enough.
+func TestOpenDBWALSlotsExceedLogRegion(t *testing.T) {
+	const lambda = 4
+	opts := DefaultOptions()
+	opts.Durability = DurabilitySync
+	for _, leased := range []bool{false, true} {
+		p := Placement{Lambda: lambda, Boundaries: UniformBoundaries(lambda, 1000, tkey), Lease: leased}
+		cfg := SingleNodeConfig()
+		d := NewDeployment(cfg)
+		d.Run(func() {
+			db, err := OpenDB(d, RolePrimary, p, opts)
+			if err == nil {
+				db.Close()
+				t.Fatalf("lease=%v: %d x %d-byte WAL slots opened in a %d-byte log region",
+					leased, lambda, 8*opts.MemTableSize, cfg.MemNode.LogRegionSize)
+			}
+			for _, want := range []string{
+				fmt.Sprint(8 * opts.MemTableSize), fmt.Sprint(cfg.MemNode.LogRegionSize), "LogRegionSize",
+			} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("lease=%v: error %q does not name %q", leased, err, want)
+				}
+			}
+		})
+		d.Close()
+
+		cfg.MemNode.LogRegionSize = lambda * int64(8*opts.MemTableSize)
+		d = NewDeployment(cfg)
+		d.Run(func() {
+			db, err := OpenDB(d, RolePrimary, p, opts)
+			if err != nil {
+				t.Fatalf("lease=%v: with a %d-byte log region: %v", leased, cfg.MemNode.LogRegionSize, err)
+			}
+			db.Close()
+		})
+		d.Close()
+	}
 }
