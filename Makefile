@@ -51,8 +51,9 @@ cache:
 	$(GO) run ./cmd/dlsm-bench -fig cache -n 100000
 
 # Remote-WAL durability sweep (randomfill): logging off, Async and Sync,
-# each with group commit and with one doorbell per write. Sync with group
-# commit must strictly beat sync+perwrite.
+# each with the pipelined commit path and with its stop-and-wait ablation
+# (one record per doorbell, one doorbell in flight). The orderings are
+# asserted by internal/bench TestFigWALOrdering.
 wal:
 	$(GO) run ./cmd/dlsm-bench -fig wal -n 100000
 

@@ -283,10 +283,10 @@ func FigCache(n, threads int) *Figure {
 
 // FigWAL sweeps the remote write-ahead log's durability modes on a
 // randomfill workload: logging off (the pre-WAL write path, the bit-exact
-// baseline for every other figure), Async and Sync — each with group
-// commit (default) and with one doorbell per write (WALPerWrite). The
-// per-point doorbell counts show the coalescing: in Sync mode group
-// commit must strictly beat per-write doorbells.
+// baseline for every other figure), Async and Sync — each with the
+// pipelined commit path (default) and with its stop-and-wait ablation
+// (WALPerWrite). The per-point doorbell counts show how often records
+// left alone; TestFigWALOrdering asserts the orderings.
 func FigWAL(n, threads int) *Figure {
 	f := &Figure{Name: "Fig WAL", Title: "remote WAL durability modes (randomfill)", XLabel: "mode"}
 	variants := []struct {

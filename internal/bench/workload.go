@@ -68,8 +68,8 @@ type Config struct {
 	// DurabilityNone (default) keeps every figure bit-identical to the
 	// pre-WAL runs; Async/Sync log each write over one-sided RDMA.
 	Durability engine.Durability
-	// WALPerWrite disables group commit: one doorbell per write (the
-	// FigWAL ablation baseline).
+	// WALPerWrite makes the log's commit path stop-and-wait: one record
+	// per doorbell, one doorbell in flight (the FigWAL ablation baseline).
 	WALPerWrite bool
 
 	// Costs overrides the CPU cost model on every node (engine and

@@ -136,7 +136,7 @@ func (s *Session) Apply(b *Batch) error {
 	}
 
 	// Durability: one log append covers the batch's whole sequence range,
-	// so group commit sees it as a single record train (one doorbell).
+	// so the commit path posts it as one run of records (one doorbell).
 	if db.walEnabled() {
 		return db.walAppend(lo, n, func(i int) (byte, []byte, []byte) {
 			key, value, del := b.Entry(i)

@@ -72,7 +72,7 @@ const (
 	DurabilityNone Durability = iota
 	// DurabilityAsync appends every write to the remote log but
 	// acknowledges before the append is durable: the crash-loss window is
-	// one group-commit round trip instead of a whole MemTable.
+	// one doorbell round trip instead of a whole MemTable.
 	DurabilityAsync
 	// DurabilitySync acknowledges only after the write's log record is
 	// durable in remote memory; Recover restores every acknowledged write.
@@ -153,8 +153,9 @@ type Options struct {
 	// self-corrects by stalling appends and kicking a MemTable switch.
 	WALSize int64
 
-	// WALPerWriteCommit disables group commit: every staged record gets its
-	// own RDMA doorbell. Exists for the durability ablation (fig wal).
+	// WALPerWriteCommit narrows the log's commit pipeline to stop-and-wait:
+	// one record per RDMA doorbell, one doorbell in flight. Exists for the
+	// durability ablation (fig wal).
 	WALPerWriteCommit bool
 
 	// WALOwner and WALShard name this DB's log slot on the memory node
@@ -165,7 +166,7 @@ type Options struct {
 	WALShard int
 
 	// WALFence and WALFenceWord wire the shard's ownership lease
-	// (internal/lease) into the log's commit path: each commit group
+	// (internal/lease) into the log's commit path: each doorbell
 	// acknowledges only after a one-sided CAS verifies the remote word at
 	// WALFence still reads WALFenceWord, so a lease takeover rejects the
 	// deposed owner's in-flight appends with ErrFenced. Set by the lease

@@ -51,7 +51,7 @@ type Stats struct {
 	// Durability is DurabilityNone: the log is never constructed.
 	WALAppends     *telemetry.Counter // records staged for the log
 	WALBytes       *telemetry.Counter // record bytes appended remotely
-	WALDoorbells   *telemetry.Counter // RDMA writes posted (group commit coalesces)
+	WALDoorbells   *telemetry.Counter // RDMA writes completed for record data
 	WALTruncations *telemetry.Counter // checkpoint publishes that freed ring space
 	WALCkptSkips   *telemetry.Counter // checkpoint blobs too large for their slot
 	WALRingStalls  *telemetry.Counter // appends that waited for ring space
@@ -137,7 +137,7 @@ type dbMetrics struct {
 	switchWait *telemetry.Histogram // engine.memtable.switch_wait_ns
 	flushLat   *telemetry.Histogram // engine.flush.latency_ns
 
-	walGroup *telemetry.Histogram // wal.group_records: records per doorbell group
+	walGroup *telemetry.Histogram // wal.group_records: records per doorbell
 
 	switchContended *telemetry.Counter // writers that hit the switch lock
 	memHits         *telemetry.Counter // reads answered by the MemTable

@@ -79,6 +79,11 @@ func (db *DB) openWAL(recovering bool) error {
 			CkptSkips:    db.stats.WALCkptSkips,
 			RingStalls:   db.stats.WALRingStalls,
 			Replayed:     db.stats.WALReplayed,
+			// Registered here, not in newStats: a Durability-off
+			// deployment's snapshot stays free of them.
+			RingStallNS: db.tel.Counter("wal.ring_stall_ns"),
+			CommitWait:  db.tel.Histogram("wal.commit_wait_ns"),
+			Inflight:    db.tel.Gauge("wal.inflight_doorbells"),
 		},
 	}, recovering)
 	if err != nil {
@@ -119,7 +124,7 @@ func (db *DB) walCheckpoint() (blob []byte, covered uint64) {
 // walKick is the log's ring-full escape hatch: force the current
 // MemTable toward a flush so the next checkpoint refresh can advance the
 // truncation horizon. Mirrors the switch half of Flush without waiting
-// for the queue to drain (the commit loop re-checks for space as flushes
+// for the queue to drain (stalled appends re-check for space as flushes
 // complete).
 func (db *DB) walKick() {
 	db.switchMu.Lock()
@@ -136,8 +141,8 @@ func (db *DB) walKick() {
 
 // walAppend logs n consecutive-sequence entries starting at seqLo, after
 // they are already in the MemTable, and resolves the append per the
-// durability mode: Sync waits for the group-commit doorbell, Async only
-// surfaces an already-broken log. Call with no engine locks held.
+// durability mode: Sync waits until the record's doorbell completes, Async
+// only surfaces an already-broken log. Call with no engine locks held.
 func (db *DB) walAppend(seqLo uint64, n int, ent func(i int) (kind byte, key, value []byte)) error {
 	tok, err := db.wal.Stage(seqLo, n, ent)
 	if err != nil {

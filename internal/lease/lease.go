@@ -8,7 +8,7 @@
 // Exactly one compute node holds the write lease of a shard at a time.
 // Every acquisition — voluntary or takeover — bumps the entry's epoch, and
 // the holder wires the packed (epoch, holder) word into its WAL as a fence
-// (wal.Config.Fence/FenceWord): each commit group is acknowledged only
+// (wal.Config.Fence/FenceWord): each log doorbell is acknowledged only
 // after a CAS verifies the word is unchanged, so the instant a new owner
 // takes over, a deposed owner's in-flight appends stop acknowledging with
 // wal.ErrFenced. Combined with the WAL's ring-epoch + LSN fencing, a

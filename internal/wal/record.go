@@ -1,10 +1,11 @@
 // Package wal implements a remote write-ahead log for the dLSM engine:
 // a per-shard ring buffer living in a pre-registered memory-node region,
 // appended with one-sided RDMA writes so the commit path consumes zero
-// memory-node CPU (§VIII; O³-LSM's log offloading). A group-commit loop
-// coalesces concurrent writers into one RDMA doorbell + one completion,
-// amortizing the fabric round trip the same way the flush pipeline
-// amortizes buffers.
+// memory-node CPU (§VIII; O³-LSM's log offloading). The commit path is a
+// pipeline (commit.go, DESIGN.md S25): each record is framed once into a
+// compute-side staging ring, doorbells leave back to back the way the
+// flush pipeline never waits while it has bytes to post, and a completion
+// entity acknowledges writers in LSN order.
 //
 // # Slot layout
 //
@@ -106,8 +107,11 @@ func encodeHeader(h Header) []byte {
 	return b
 }
 
-// decodeHeader parses a slot header, failing on bad magic or version.
-func decodeHeader(b []byte) (Header, error) {
+// DecodeHeader parses a raw 64-byte slot header as read back from remote
+// memory, failing on bad magic or version. Read-only secondaries use it to
+// refresh their view from the checkpoint slot without parsing the whole
+// slot image.
+func DecodeHeader(b []byte) (Header, error) {
 	if len(b) < HeaderSize {
 		return Header{}, fmt.Errorf("wal: short header: %d bytes", len(b))
 	}
@@ -129,11 +133,6 @@ func decodeHeader(b []byte) (Header, error) {
 		Tag:      binary.LittleEndian.Uint64(b[56:]),
 	}, nil
 }
-
-// DecodeHeader parses a raw 64-byte slot header as read back from remote
-// memory. Read-only secondaries use it to refresh their view from the
-// checkpoint slot without parsing the whole slot image.
-func DecodeHeader(b []byte) (Header, error) { return decodeHeader(b) }
 
 // CkptOffset returns the slot-relative byte offset of the active
 // checkpoint blob described by h.
@@ -162,9 +161,6 @@ type Record struct {
 	Entries []Entry
 }
 
-// MaxSeq returns the highest sequence number in the record.
-func (r Record) MaxSeq() uint64 { return r.SeqLo + uint64(len(r.Entries)) - 1 }
-
 // appendRecord frames one record onto dst. ent yields entry i of n.
 func appendRecord(dst []byte, epoch, lsn, seqLo uint64, n int, ent func(i int) (kind byte, key, value []byte)) []byte {
 	lenPos := len(dst)
@@ -186,23 +182,20 @@ func appendRecord(dst []byte, epoch, lsn, seqLo uint64, n int, ent func(i int) (
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[body:]))
 }
 
-// parseRecord decodes the record at the front of b, requiring the given
-// epoch and exact LSN. Returns the framed size on success; ok=false means
-// the bytes are not a valid next record (torn tail).
-func parseRecord(b []byte, epoch, wantLSN uint64) (Record, int, bool) {
-	return parseRecordAt(b, epoch, wantLSN, true)
-}
-
 // ParseReplayRecord decodes one framed record for offload replay. Unlike
 // recovery's ring scan it has no sequential-LSN requirement: replay
 // selects records by ring location (wal.View), not by walking from the
 // header, so any LSN of the right epoch with a valid CRC is acceptable.
 func ParseReplayRecord(b []byte, epoch uint64) (Record, bool) {
-	rec, _, ok := parseRecordAt(b, epoch, 0, false)
+	rec, _, ok := parseRecord(b, epoch, 0)
 	return rec, ok
 }
 
-func parseRecordAt(b []byte, epoch, wantLSN uint64, exactLSN bool) (Record, int, bool) {
+// parseRecord decodes the record at the front of b, requiring the given
+// epoch and — unless wantLSN is 0, which no record carries — that exact
+// LSN. Returns the framed size on success; ok=false means the bytes are
+// not a valid next record (torn tail).
+func parseRecord(b []byte, epoch, wantLSN uint64) (Record, int, bool) {
 	if len(b) < 4 {
 		return Record{}, 0, false
 	}
@@ -221,7 +214,7 @@ func parseRecordAt(b []byte, epoch, wantLSN uint64, exactLSN bool) (Record, int,
 		LSN:   binary.LittleEndian.Uint64(body[8:]),
 		SeqLo: binary.LittleEndian.Uint64(body[16:]),
 	}
-	if exactLSN && rec.LSN != wantLSN {
+	if wantLSN != 0 && rec.LSN != wantLSN {
 		return Record{}, 0, false
 	}
 	count := int(binary.LittleEndian.Uint32(body[24:]))
@@ -317,7 +310,7 @@ func Geometry(slotSize int64) (ckptCap, ringBase, ringSize int, err error) {
 // (nil when none was ever published), and every surviving record in LSN
 // order up to the torn tail.
 func ParseImage(img []byte) (Header, []byte, []Record, error) {
-	h, err := decodeHeader(img)
+	h, err := DecodeHeader(img)
 	if err != nil {
 		return Header{}, nil, nil, err
 	}

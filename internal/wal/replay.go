@@ -1,10 +1,5 @@
 package wal
 
-import (
-	"fmt"
-	"time"
-)
-
 // RecordLoc locates one framed record inside the ring (ring-relative
 // offset; records never wrap the ring edge, so [Off, Off+Size) is always
 // contiguous).
@@ -27,67 +22,35 @@ type View struct {
 	Records []RecordLoc
 }
 
-const (
-	replayPollInterval = 200 * time.Microsecond
-	replayPollMax      = 100
-)
-
 // ReplayView returns the ring locations of every durable record
-// overlapping [seqLo, seqHi]. Records still staged or in a not-yet-acked
-// commit group are waited for with a bounded poll; if durability does not
-// arrive (ring stalled on space, log broken mid-wait) an error is
-// returned and the caller falls back to shipping the memtable contents.
+// overlapping [seqLo, seqHi], first waiting out the ones still in flight:
+// every record in the ring already has its place and its doorbell posted
+// or queued behind the window, so durability needs only the fabric. If the
+// log breaks instead, the error is returned and the caller falls back to
+// shipping the memtable contents.
 //
 // A view can legitimately miss entries that were inserted into the
 // memtable but never staged (an ErrTooLarge append, or a writer between
-// its claim release and its Stage call); the flush protocol detects that
-// by comparing the built table's entry count against the memtable's and
-// falls back, so ReplayView itself makes no completeness promise.
+// its claim release and its Stage call, or parked in Stage on a full
+// ring); the flush protocol detects that by comparing the built table's
+// entry count against the memtable's and falls back, so ReplayView itself
+// makes no completeness promise.
 func (l *Log) ReplayView(seqLo, seqHi uint64) (View, error) {
-	overlaps := func(lo, hi uint64) bool { return lo <= seqHi && hi >= seqLo }
-	for attempt := 0; ; attempt++ {
-		l.mu.Lock()
-		switch {
-		case l.closed:
-			l.mu.Unlock()
-			return View{}, ErrClosed
-		case l.broken:
-			err := l.brokenErr
-			l.mu.Unlock()
-			return View{}, err
-		case l.recovering:
-			l.mu.Unlock()
-			return View{}, fmt.Errorf("wal: replay view during recovery")
-		}
-		wait := false
-		for _, r := range l.pending {
-			if overlaps(r.loSeq, r.maxSeq) {
-				wait = true
-				break
-			}
-		}
-		if !wait {
-			for _, r := range l.live {
-				if overlaps(r.loSeq, r.maxSeq) && r.lsn > l.durableLSN {
-					wait = true
-					break
-				}
-			}
-		}
-		if !wait {
-			v := View{Epoch: l.epoch}
-			for _, r := range l.live {
-				if overlaps(r.loSeq, r.maxSeq) {
-					v.Records = append(v.Records, RecordLoc{Off: r.off, Size: r.size})
-				}
-			}
-			l.mu.Unlock()
-			return v, nil
-		}
+	l.mu.Lock()
+	if err := l.unusableLocked(); err != nil {
 		l.mu.Unlock()
-		if attempt >= replayPollMax {
-			return View{}, fmt.Errorf("wal: replay view stalled waiting for durability of seqs [%d, %d]", seqLo, seqHi)
-		}
-		l.env.Sleep(replayPollInterval)
+		return View{}, err
 	}
+	v := View{Epoch: l.epoch}
+	var last uint64
+	for _, r := range l.live {
+		if r.loSeq <= seqHi && r.maxSeq >= seqLo {
+			v.Records = append(v.Records, RecordLoc{Off: r.off, Size: r.size})
+			last = r.lsn
+		}
+	}
+	// Truncation cannot touch these records meanwhile: the covered horizon
+	// stays strictly below an unflushed memtable's range.
+	l.mu.Unlock()
+	return v, l.await(last, true)
 }

@@ -30,7 +30,7 @@ func (l *Log) ReleaseTruncation() {
 	l.mu.Lock()
 	if l.holdTrunc > 0 {
 		l.holdTrunc--
-		if l.holdTrunc == 0 && !l.closed && !l.broken {
+		if l.holdTrunc == 0 {
 			l.refreshReq = true
 			l.trimCond.Signal()
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"time"
 
 	"dlsm/internal/rdma"
@@ -28,12 +29,15 @@ var ErrFenced = errors.New("wal: fenced by lease takeover")
 type Metrics struct {
 	Appends      *telemetry.Counter   // records staged
 	AppendBytes  *telemetry.Counter   // framed record bytes staged
-	Doorbells    *telemetry.Counter   // RDMA writes posted for record data
-	GroupRecords *telemetry.Histogram // records coalesced per commit group
+	Doorbells    *telemetry.Counter   // RDMA writes completed for record data
+	GroupRecords *telemetry.Histogram // records coalesced per doorbell
 	Truncations  *telemetry.Counter   // checkpoint refreshes published
 	CkptSkips    *telemetry.Counter   // refreshes dropped (blob > slot cap)
-	RingStalls   *telemetry.Counter   // commit-loop waits for ring space
+	RingStalls   *telemetry.Counter   // appends that waited for ring or staging space
+	RingStallNS  *telemetry.Counter   // virtual ns those appends spent waiting
 	Replayed     *telemetry.Counter   // entries re-applied by recovery
+	CommitWait   *telemetry.Histogram // virtual ns from Stage to durable, per sync record
+	Inflight     *telemetry.Gauge     // doorbells posted and not yet reaped
 }
 
 // Config wires a Log to its environment.
@@ -45,27 +49,26 @@ type Config struct {
 	Slot     rdma.RemoteAddr // slot base (from memnode.OpenLog)
 	SlotSize int64
 
-	// PerWrite disables group commit: one doorbell per record, for the
-	// durability-sweep ablation.
+	// PerWrite narrows the commit pipeline to one record per doorbell and
+	// one doorbell in flight — stop-and-wait, for the durability-sweep
+	// ablation.
 	PerWrite bool
-	// MaxStage bounds the local staging buffer — and therefore the bytes
-	// coalesced into one commit group. 0 means 1 MiB.
-	MaxStage int
 
 	// Refresh builds a checkpoint blob plus the covered horizon: every
 	// sequence number <= covered is captured by the blob's tables. The
 	// trimmer calls it outside the log mutex.
 	Refresh func() (blob []byte, covered uint64)
 	// Kick asks the engine to push unflushed data toward a checkpoint
-	// (force a memtable switch); called when appends stall on ring space.
+	// (force a memtable switch); the trimmer calls it, outside the log
+	// mutex, when appends stall on ring space.
 	Kick func()
 	// Charge accounts serialization/copy CPU to the compute node.
 	Charge func(bytes int)
 
 	// Fence/FenceWord wire the shard's ownership lease (internal/lease)
-	// into the commit path: when FenceWord is nonzero, every commit group
-	// is acknowledged — and every checkpoint refresh published — only
-	// after a one-sided CAS verifies the remote word at Fence still holds
+	// into the commit path: when FenceWord is nonzero, every doorbell is
+	// acknowledged — and every checkpoint refresh published — only after
+	// a one-sided CAS verifies the remote word at Fence still holds
 	// FenceWord. A takeover changes the word atomically, so a deposed
 	// owner's in-flight appends land in the ring but never acknowledge
 	// (ErrFenced), and the new owner's post-takeover slot read observes
@@ -118,33 +121,6 @@ type ReplicaConfig struct {
 	TornHook func()
 }
 
-// Token identifies a staged append; Commit waits on it.
-type Token struct{ lsn uint64 }
-
-// stagedRec is one framed record awaiting the commit loop.
-type stagedRec struct {
-	lsn    uint64
-	loSeq  uint64
-	maxSeq uint64
-	buf    []byte // len | body | crc
-}
-
-// liveRec is one record resident in the ring, FIFO by LSN.
-type liveRec struct {
-	lsn       uint64
-	off       int // ring offset
-	size      int
-	padBefore int // pad bytes consumed at the ring tail edge before it
-	loSeq     uint64
-	maxSeq    uint64
-}
-
-// segment is a contiguous run of ring bytes one doorbell write covers.
-type segment struct {
-	ringOff int
-	data    []byte
-}
-
 // Log is one shard's remote write-ahead log.
 type Log struct {
 	cfg      Config
@@ -152,32 +128,41 @@ type Log struct {
 	ckptCap  int
 	ringBase int
 	ringSize int
-	maxStage int
 
-	qp      *rdma.QP // commit loop's queue pair
+	qp      *rdma.QP // commit pipeline's queue pair
 	trimQP  *rdma.QP // trimmer's queue pair (separate completion stream)
 	staging *rdma.MemoryRegion
 
-	// Replica queue pairs, nil unless Config.Replica is set: the commit
-	// loop chains each group's doorbell onto replQP after the primary
-	// completions; the trimmer mirrors checkpoints over replTrimQP.
+	// Replica queue pairs, nil unless Config.Replica is set: the completion
+	// entity mirrors runs over replQP, the trimmer checkpoints over replTrimQP.
 	replQP     *rdma.QP
 	replTrimQP *rdma.QP
 
-	mu         *sim.Mutex
-	appendCond *sim.Cond // commit loop <- staged work
-	ackCond    *sim.Cond // writers <- durability advanced
-	spaceCond  *sim.Cond // commit loop <- ring space freed
-	trimCond   *sim.Cond // trimmer <- refresh requested
-	trimMu     *sim.Mutex
+	mu        *sim.Mutex
+	doneCond  *sim.Cond // completion entity <- doorbell posted
+	stageCond *sim.Cond // stagers <- staging space freed
+	ringCond  *sim.Cond // stagers <- ring space freed
+	trimCond  *sim.Cond // trimmer <- refresh requested
+	trimMu    *sim.Mutex
+
+	// Commit pipeline (commit.go): durableLSN <= posted < nextLSN. Records
+	// up to durableLSN are acknowledged, up to posted on the wire, the rest
+	// wait for a window slot. PerWrite sets both limits to one.
+	window   int // doorbells in flight
+	maxRun   int // records per doorbell
+	fenceWRs int // 1 when every run carries a fence CAS, else 0
 
 	epoch      uint64
 	nextLSN    uint64
+	posted     uint64
 	durableLSN uint64
-	pending    []stagedRec
-	live       []liveRec
-	head, tail int // ring offsets
-	used       int // ring bytes occupied (records + padding)
+	live       []liveRec   // records resident in the ring, FIFO by LSN
+	ring       byteRing    // remote ring placement
+	stage      byteRing    // staging ring: bytes of un-acked records
+	inflight   []doorbell  // posted, un-reaped, FIFO
+	waiters    []ackWaiter // parked sync writers, sorted by LSN
+	attempts   int         // consecutive failed doorbells at the window head
+	rewinding  bool        // completion entity is draining a failed window
 
 	durableCovered uint64 // covered horizon of the last published header
 	ckptSlot       uint32 // active checkpoint slot of the last header
@@ -185,6 +170,7 @@ type Log struct {
 
 	holdTrunc   int // >0: ring truncation paused (see HoldTruncation)
 	refreshReq  bool
+	kickReq     bool // a stager found the ring full: Kick before the next refresh
 	recovering  bool
 	closed      bool
 	broken      bool
@@ -201,7 +187,7 @@ const (
 )
 
 // Open initializes (or, with recovering=true, attaches to) the log slot
-// and starts the commit and trim entities.
+// and starts the completion and trim entities.
 //
 // A fresh Open stamps a new header with a bumped epoch, logically
 // emptying the slot: stale ring bytes from a previous life can never
@@ -210,68 +196,62 @@ const (
 // during replay re-runs recovery against the identical surviving state;
 // FinishRecovery performs the single atomic switch to a fresh epoch.
 func Open(cfg Config, recovering bool) (*Log, error) {
-	if cfg.MaxStage <= 0 {
-		cfg.MaxStage = 1 << 20
-	}
 	ckptCap, ringBase, ringSize, err := geometry(cfg.SlotSize, 0)
 	if err != nil {
 		return nil, err
 	}
 	l := &Log{
-		cfg:      cfg,
-		env:      cfg.Env,
-		ckptCap:  ckptCap,
-		ringBase: ringBase,
-		ringSize: ringSize,
-		maxStage: cfg.MaxStage,
-		qp:       cfg.Compute.NewQP(cfg.Host),
-		trimQP:   cfg.Compute.NewQP(cfg.Host),
-		staging:  cfg.Compute.Register(cfg.MaxStage),
-		mu:       sim.NewMutex(cfg.Env),
-		trimMu:   sim.NewMutex(cfg.Env),
-		nextLSN:  1,
-		wg:       sim.NewWaitGroup(cfg.Env),
+		cfg:        cfg,
+		env:        cfg.Env,
+		ckptCap:    ckptCap,
+		ringBase:   ringBase,
+		ringSize:   ringSize,
+		qp:         cfg.Compute.NewQP(cfg.Host),
+		trimQP:     cfg.Compute.NewQP(cfg.Host),
+		staging:    cfg.Compute.Register(stagingSize),
+		mu:         sim.NewMutex(cfg.Env),
+		trimMu:     sim.NewMutex(cfg.Env),
+		window:     commitWindow,
+		maxRun:     math.MaxInt,
+		nextLSN:    1,
+		ring:       byteRing{size: ringSize},
+		stage:      byteRing{size: stagingSize},
+		recovering: recovering,
+		wg:         sim.NewWaitGroup(cfg.Env),
 	}
-	l.appendCond = sim.NewNamedCond(cfg.Env, l.mu, "wal.append")
-	l.ackCond = sim.NewNamedCond(cfg.Env, l.mu, "wal.ack")
-	l.spaceCond = sim.NewNamedCond(cfg.Env, l.mu, "wal.space")
+	if cfg.PerWrite {
+		l.window, l.maxRun = 1, 1
+	}
+	if cfg.FenceWord != 0 {
+		l.fenceWRs = 1
+	}
+	l.doneCond = sim.NewNamedCond(cfg.Env, l.mu, "wal.done")
+	l.stageCond = sim.NewNamedCond(cfg.Env, l.mu, "wal.staging")
+	l.ringCond = sim.NewNamedCond(cfg.Env, l.mu, "wal.ring")
 	l.trimCond = sim.NewNamedCond(cfg.Env, l.mu, "wal.trim")
-	l.recovering = recovering
 	if cfg.Replica != nil {
 		l.replQP = cfg.Compute.NewQP(cfg.Replica.Host)
 		l.replTrimQP = cfg.Compute.NewQP(cfg.Replica.Host)
 	}
 
 	if !recovering {
-		// Read the old header (if any) so the fresh epoch supersedes it.
-		old, err := l.readHeader()
-		epoch := uint64(1)
-		if err == nil {
-			epoch = old.Epoch + 1
-		}
-		l.epoch = epoch
-		h := Header{
-			Epoch: epoch, StartOff: 0, StartLSN: 1, Covered: 0,
-			CkptCap: uint32(ckptCap), CkptSlot: 0, CkptLen: 0, CkptCRC: 0,
-		}
+		h := l.nextLife()
+		l.epoch, l.pubSeq, h.CkptSlot = h.Epoch, h.Tag, 0
 		if cfg.Replica != nil {
-			// Tags stay monotonic across slot lives; replica flips first so
-			// the replica header is never behind a freed primary ring.
-			l.pubSeq = old.Tag + 1
-			h.Tag = l.pubSeq
-			if err := l.writeReplicaHeader(h); err != nil {
+			// Replica first: its header is never behind a freed primary ring.
+			if err := l.writeReplica(0, encodeHeader(h)); err != nil {
 				l.teardown()
 				return nil, fmt.Errorf("wal: initializing replica slot: %w", err)
 			}
 		}
-		if err := l.writeHeader(h); err != nil {
+		if err := l.writeSlot(l.trimQP, l.cfg.Slot, encodeHeader(h)); err != nil {
 			l.teardown()
 			return nil, fmt.Errorf("wal: initializing slot: %w", err)
 		}
 	}
 
 	l.wg.Add(2)
-	l.env.Go(l.commitLoop)
+	l.env.Go(l.completeLoop)
 	l.env.Go(l.trimLoop)
 	return l, nil
 }
@@ -286,6 +266,21 @@ func (l *Log) teardown() {
 	l.cfg.Compute.Deregister(l.staging)
 }
 
+// nextLife returns the header that supersedes the slot's current one: a
+// bumped epoch (stale ring bytes never parse as live), an empty ring, the
+// other checkpoint slot, and on a replicated slot the next publish Tag.
+func (l *Log) nextLife() Header {
+	old, err := l.readHeader() // the zero Header on a never-initialized slot
+	h := Header{Epoch: old.Epoch + 1, StartLSN: 1, CkptCap: uint32(l.ckptCap)}
+	if err == nil {
+		h.CkptSlot = 1 - old.CkptSlot&1
+	}
+	if l.cfg.Replica != nil {
+		h.Tag = old.Tag + 1
+	}
+	return h
+}
+
 // readHeader fetches the remote slot header.
 func (l *Log) readHeader() (Header, error) {
 	mr := l.cfg.Compute.Register(HeaderSize)
@@ -293,175 +288,56 @@ func (l *Log) readHeader() (Header, error) {
 	if err := l.trimQP.ReadSync(mr, 0, l.cfg.Slot, HeaderSize); err != nil {
 		return Header{}, err
 	}
-	return decodeHeader(append([]byte(nil), mr.Bytes(0, HeaderSize)...))
+	return DecodeHeader(append([]byte(nil), mr.Bytes(0, HeaderSize)...))
 }
 
-// writeHeader publishes h as the slot's header, retrying transient faults.
-func (l *Log) writeHeader(h Header) error {
-	mr := l.cfg.Compute.RegisterBuf(encodeHeader(h))
+// writeSlot writes data at a slot address over a trimmer queue pair,
+// retrying transient faults.
+func (l *Log) writeSlot(qp *rdma.QP, at rdma.RemoteAddr, data []byte) error {
+	mr := l.cfg.Compute.RegisterBuf(data)
 	defer l.cfg.Compute.Deregister(mr)
-	return l.retrySync(func() error {
-		return l.trimQP.WriteSync(mr, 0, l.cfg.Slot, HeaderSize)
-	})
+	return l.retrySync(func() error { return qp.WriteSync(mr, 0, at, len(data)) })
 }
 
-// writeReplicaHeader publishes h on the mirror slot (trimmer context: it
-// rides replTrimQP), retrying transient faults.
-func (l *Log) writeReplicaHeader(h Header) error {
-	mr := l.cfg.Compute.RegisterBuf(encodeHeader(h))
-	defer l.cfg.Compute.Deregister(mr)
-	err := l.retrySync(func() error {
-		return l.replTrimQP.WriteSync(mr, 0, l.cfg.Replica.Slot, HeaderSize)
-	})
+// writeReplica is writeSlot onto the mirror slot, counting mirrored bytes.
+func (l *Log) writeReplica(off int, data []byte) error {
+	err := l.writeSlot(l.replTrimQP, l.cfg.Replica.Slot.Add(off), data)
 	if err == nil {
-		l.cfg.Replica.Bytes.Add(HeaderSize)
+		l.cfg.Replica.Bytes.Add(int64(len(data)))
 	}
 	return err
 }
 
 // mirrorActive reports whether mirror writes should still be issued.
 func (l *Log) mirrorActive() bool {
-	if l.cfg.Replica == nil {
-		return false
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return !l.replicaDown
+	return l.cfg.Replica != nil && !l.replicaDown
 }
 
-// mirrorFailed resolves a permanent mirror error under the configured ack
-// policy: Sync propagates it, breaking the log before anything unmirrored
-// can acknowledge; non-Sync (the Primary policy) degrades to primary-only
-// operation and swallows the error.
+// mirrorFailed resolves a permanent mirror error under the ack policy:
+// Sync propagates it, breaking the log before anything unmirrored can
+// acknowledge; non-Sync (Primary) degrades to primary-only and swallows it.
 func (l *Log) mirrorFailed(err error) error {
 	if l.cfg.Replica.Sync {
 		return fmt.Errorf("wal: replica mirror: %w", err)
 	}
-	l.mu.Lock()
-	if !l.replicaDown {
-		l.replicaDown = true
-		l.cfg.Replica.Degraded.Inc()
-	}
-	l.mu.Unlock()
+	l.DropMirror()
 	return nil
 }
 
-// retrySync runs op with capped exponential backoff.
+// retrySync runs op up to walMaxAttempts times, with capped exponential
+// backoff between attempts.
 func (l *Log) retrySync(op func() error) error {
-	backoff := walRetryBase
-	var err error
-	for attempt := 0; attempt < walMaxAttempts; attempt++ {
+	for attempt := 1; ; attempt++ {
 		if l.cfg.Compute.Crashed() {
 			return rdma.ErrQPBroken
 		}
-		if err = op(); err == nil {
-			return nil
+		if err := op(); err == nil || attempt == walMaxAttempts {
+			return err
 		}
-		l.env.Sleep(backoff)
-		if backoff *= 2; backoff > walRetryMax {
-			backoff = walRetryMax
-		}
+		l.env.Sleep(min(walRetryBase<<(attempt-1), walRetryMax))
 	}
-	return err
-}
-
-// maxBody is the largest record body Stage will build: it must fit the
-// staging buffer and leave the ring room to breathe across wraps.
-func (l *Log) maxBody() int {
-	m := l.ringSize/4 - recOverhead
-	if s := l.maxStage - recOverhead; s < m {
-		m = s
-	}
-	return m
-}
-
-// Stage frames the entries [0,n) — consecutive sequence numbers starting
-// at seqLo — into one or more pending records and returns the token of
-// the last one. The caller then inserts into the MemTable and calls
-// Commit; the commit loop makes staged records durable in LSN order, so
-// an acknowledged (Sync) write is durable before Put returns.
-func (l *Log) Stage(seqLo uint64, n int, ent func(i int) (kind byte, key, value []byte)) (Token, error) {
-	if n <= 0 {
-		return Token{}, nil
-	}
-	maxBody := l.maxBody()
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return Token{}, ErrClosed
-	}
-	if l.broken {
-		err := l.brokenErr
-		l.mu.Unlock()
-		return Token{}, err
-	}
-	if l.recovering {
-		l.mu.Unlock()
-		return Token{}, fmt.Errorf("wal: append during recovery")
-	}
-	var tok Token
-	staged := 0
-	for i := 0; i < n; {
-		body := recFixed
-		j := i
-		for j < n {
-			_, key, value := ent(j)
-			sz := entryOverhead + len(key) + len(value)
-			if body+sz > maxBody {
-				break
-			}
-			body += sz
-			j++
-		}
-		if j == i {
-			// A single entry exceeds the record budget; undo nothing —
-			// already-staged chunks are harmless (their seqs never ack).
-			l.mu.Unlock()
-			return Token{}, ErrTooLarge
-		}
-		lsn := l.nextLSN
-		l.nextLSN++
-		base := i
-		buf := appendRecord(make([]byte, 0, body+recOverhead), l.epoch, lsn, seqLo+uint64(base), j-i,
-			func(k int) (byte, []byte, []byte) { return ent(base + k) })
-		l.pending = append(l.pending, stagedRec{lsn: lsn, loSeq: seqLo + uint64(base), maxSeq: seqLo + uint64(j) - 1, buf: buf})
-		staged += len(buf)
-		l.cfg.Metrics.Appends.Inc()
-		l.cfg.Metrics.AppendBytes.Add(int64(len(buf)))
-		tok = Token{lsn: lsn}
-		i = j
-	}
-	l.appendCond.Signal()
-	l.mu.Unlock()
-	if l.cfg.Charge != nil {
-		l.cfg.Charge(staged)
-	}
-	return tok, nil
-}
-
-// Commit resolves a staged token. sync waits until the record is durable
-// in the remote ring (one group-commit round trip, shared with every
-// concurrent writer); async returns immediately, only surfacing an
-// already-broken log.
-func (l *Log) Commit(t Token, sync bool) error {
-	if t.lsn == 0 {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !sync {
-		if l.broken && l.durableLSN < t.lsn {
-			return l.brokenErr
-		}
-		return nil
-	}
-	for l.durableLSN < t.lsn && !l.broken {
-		l.ackCond.Wait()
-	}
-	if l.durableLSN >= t.lsn {
-		return nil
-	}
-	return l.brokenErr
 }
 
 // RequestRefresh nudges the trimmer to publish a new checkpoint and
@@ -472,10 +348,8 @@ func (l *Log) RequestRefresh() {
 		return
 	}
 	l.mu.Lock()
-	if !l.closed && !l.broken {
-		l.refreshReq = true
-		l.trimCond.Signal()
-	}
+	l.refreshReq = true
+	l.trimCond.Signal()
 	l.mu.Unlock()
 }
 
@@ -505,18 +379,9 @@ func (l *Log) DropMirror() {
 	l.mu.Unlock()
 }
 
-// Broken reports whether the log has failed permanently (the compute
-// node crashed or the fabric gave out); appends and syncs return the
-// underlying error.
-func (l *Log) Broken() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.broken
-}
-
-// Close drains staged records (making them durable if the fabric still
-// works), stops the entities, and releases local resources. It does not
-// publish a final checkpoint: the slot stays exactly as durable as the
+// Close drains the window (making every staged record durable if the
+// fabric still works), stops the entities, and releases local resources.
+// It does not publish a final checkpoint: the slot stays exactly as durable as the
 // last acknowledged write, which is what Recover replays.
 func (l *Log) Close() {
 	l.mu.Lock()
@@ -525,201 +390,24 @@ func (l *Log) Close() {
 		return
 	}
 	l.closed = true
-	l.appendCond.Broadcast()
-	l.trimCond.Broadcast()
-	l.spaceCond.Broadcast()
-	l.ackCond.Broadcast()
+	l.wakeAllLocked()
 	l.mu.Unlock()
 	l.wg.Wait()
 	l.teardown()
 }
 
-// --- commit loop -----------------------------------------------------------
-
-func (l *Log) commitLoop() {
-	defer l.wg.Done()
-	l.mu.Lock()
-	for {
-		for len(l.pending) == 0 && !l.closed && !l.broken {
-			l.appendCond.Wait()
-		}
-		if l.broken || (l.closed && len(l.pending) == 0) {
-			break
-		}
-		// Take the commit group: everything staged, bounded by the staging
-		// buffer; or a single record in per-write mode. If the ring lacks
-		// room for the whole group, durable prefixes are flushed first so
-		// the stall can never wait on the group's own unflushed records.
-		group := l.takeGroupLocked()
-		idx := 0
-		for idx < len(group) {
-			segs, placed := l.placeAvailLocked(group[idx:])
-			if placed == 0 {
-				if !l.waitForSpaceLocked(len(group[idx].buf)) {
-					break
-				}
-				continue
-			}
-			l.mu.Unlock()
-			err := l.flushSegments(segs)
-			if err == nil {
-				// Ownership fence, checked after the bytes land and before
-				// any writer is acknowledged: if the lease moved while the
-				// doorbell was in flight, the new owner's slot read may
-				// predate these records — so they must never ack.
-				err = l.checkFence(l.qp)
-			}
-			l.mu.Lock()
-			if err != nil {
-				if errors.Is(err, ErrFenced) {
-					l.failLocked(err)
-				} else {
-					l.failLocked(fmt.Errorf("wal: append doorbell: %w", err))
-				}
-				break
-			}
-			l.durableLSN = group[idx+placed-1].lsn
-			l.cfg.Metrics.GroupRecords.Observe(int64(placed))
-			l.ackCond.Broadcast()
-			idx += placed
-		}
-		if l.broken {
-			break
-		}
-	}
-	l.ackCond.Broadcast()
-	l.mu.Unlock()
-}
-
-// failLocked marks the log permanently broken and wakes everyone.
-func (l *Log) failLocked(err error) {
-	if !l.broken {
-		l.broken = true
-		l.brokenErr = err
-	}
-	l.ackCond.Broadcast()
-	l.appendCond.Broadcast()
-	l.spaceCond.Broadcast()
-	l.trimCond.Broadcast()
-}
-
-func (l *Log) takeGroupLocked() []stagedRec {
-	if l.cfg.PerWrite {
-		group := l.pending[:1:1]
-		l.pending = l.pending[1:]
-		return group
-	}
-	// Leave headroom in the staging budget for one wrap's pad marker.
-	budget := l.maxStage - 8
-	total, n := 0, 0
-	for n < len(l.pending) {
-		total += len(l.pending[n].buf)
-		if n > 0 && total > budget {
-			break
-		}
-		n++
-	}
-	group := l.pending[:n:n]
-	l.pending = l.pending[n:]
-	return group
-}
-
-// padBytes is the wrap marker stamped at the ring's tail edge.
-var padBytes = []byte{0xFF, 0xFF, 0xFF, 0xFF}
-
-// fitsLocked reports whether a record of size need fits the ring now,
-// along with the padding a placement would burn at the tail edge.
-func (l *Log) fitsLocked(need int) (pad int, ok bool) {
-	if l.tail+need > l.ringSize {
-		pad = l.ringSize - l.tail
-	}
-	return pad, l.used+pad+need <= l.ringSize
-}
-
-// placeAvailLocked greedily assigns ring offsets to a prefix of group
-// without waiting, returning the contiguous segments to write and how
-// many records were placed.
-func (l *Log) placeAvailLocked(group []stagedRec) ([]segment, int) {
-	var segs []segment
-	put := func(off int, b []byte) {
-		if n := len(segs); n > 0 && segs[n-1].ringOff+len(segs[n-1].data) == off {
-			segs[n-1].data = append(segs[n-1].data, b...)
-			return
-		}
-		segs = append(segs, segment{ringOff: off, data: append([]byte(nil), b...)})
-	}
-	placed := 0
-	for _, r := range group {
-		need := len(r.buf)
-		pad, ok := l.fitsLocked(need)
-		if !ok {
-			break
-		}
-		off := l.tail
-		if pad > 0 {
-			if pad >= 4 {
-				put(l.tail, padBytes)
-			}
-			off = 0
-		}
-		put(off, r.buf)
-		l.live = append(l.live, liveRec{lsn: r.lsn, off: off, size: need, padBefore: pad, loSeq: r.loSeq, maxSeq: r.maxSeq})
-		l.tail = off + need
-		if l.tail == l.ringSize {
-			l.tail = 0
-		}
-		l.used += pad + need
-		placed++
-	}
-	return segs, placed
-}
-
-// waitForSpaceLocked parks the commit loop until a record of size need
-// fits the ring, prodding the trimmer (and, through Kick, the engine's
-// flush pipeline) to advance the truncation horizon. Returns false when
-// the log broke or closed while waiting.
-func (l *Log) waitForSpaceLocked(need int) bool {
-	for {
-		if _, ok := l.fitsLocked(need); ok {
-			return true
-		}
-		if l.broken || l.closed {
-			return false
-		}
-		l.cfg.Metrics.RingStalls.Inc()
-		l.refreshReq = true
-		l.trimCond.Signal()
-		if l.cfg.Kick != nil {
-			l.mu.Unlock()
-			l.cfg.Kick()
-			l.mu.Lock()
-			// Re-check before parking: the kick (or a refresh racing it)
-			// may already have freed space, and its broadcast is gone.
-			if _, ok := l.fitsLocked(need); ok {
-				return true
-			}
-			if l.broken || l.closed {
-				return false
-			}
-		}
-		l.spaceCond.Wait()
-	}
-}
-
-// checkFence verifies the ownership lease is still this log's: a CAS that
-// expects (and rewrites) the unchanged fence word. A definitive mismatch
-// is ErrFenced — no retry, the lease is gone for good; transient fabric
-// faults retry like any other verb. qp selects whose completion stream
-// the atomic rides (the commit loop's or the trimmer's — they must not
-// interleave on one queue pair).
-func (l *Log) checkFence(qp *rdma.QP) error {
+// checkFence verifies, on the trimmer's queue pair, that the ownership
+// lease is still this log's: a CAS that expects (and rewrites) the
+// unchanged fence word. A mismatch is ErrFenced — final; transient fabric
+// faults retry. (The commit pipeline queues its own CAS behind every run.)
+func (l *Log) checkFence() error {
 	if l.cfg.FenceWord == 0 {
 		return nil
 	}
 	var swapped bool
 	err := l.retrySync(func() error {
 		var cerr error
-		_, swapped, cerr = qp.CompareSwapSync(l.cfg.Fence, l.cfg.FenceWord, l.cfg.FenceWord)
+		_, swapped, cerr = l.trimQP.CompareSwapSync(l.cfg.Fence, l.cfg.FenceWord, l.cfg.FenceWord)
 		return cerr
 	})
 	if err != nil {
@@ -731,95 +419,33 @@ func (l *Log) checkFence(qp *rdma.QP) error {
 	return nil
 }
 
-// flushSegments copies the group into the staging region and issues one
-// doorbell write per contiguous segment (normally exactly one), then
-// waits for the completions. The writes are one-sided: the memory node's
-// CPU is never involved.
-func (l *Log) flushSegments(segs []segment) error {
-	total := 0
-	for _, s := range segs {
-		copy(l.staging.Bytes(total, len(s.data)), s.data)
-		total += len(s.data)
-	}
-	if l.cfg.Charge != nil {
-		l.cfg.Charge(total)
-	}
-	err := l.retrySync(func() error {
-		off := 0
-		for i, s := range segs {
-			l.qp.Write(l.staging, off, l.cfg.Slot.Add(l.ringBase+s.ringOff), len(s.data), uint64(i))
-			off += len(s.data)
-		}
-		var err error
-		for range segs {
-			if c := l.qp.WaitCQ(); c.Err != nil {
-				err = c.Err
-			}
-		}
-		if err == nil {
-			l.cfg.Metrics.Doorbells.Add(int64(len(segs)))
-		}
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	return l.mirrorSegments(segs, total)
-}
-
-// mirrorSegments chains the group's doorbell onto the replica ring: the
-// same staged bytes at the same ring offsets (both slots share one
-// geometry), posted only after every primary completion — so under Sync
-// no record acknowledges until it is resident on both copies.
-func (l *Log) mirrorSegments(segs []segment, total int) error {
-	if !l.mirrorActive() {
-		return nil
-	}
-	rc := l.cfg.Replica
-	err := l.retrySync(func() error {
-		off := 0
-		for i, s := range segs {
-			l.replQP.Write(l.staging, off, rc.Slot.Add(l.ringBase+s.ringOff), len(s.data), uint64(i))
-			off += len(s.data)
-		}
-		var err error
-		for range segs {
-			if c := l.replQP.WaitCQ(); c.Err != nil {
-				err = c.Err
-			}
-		}
-		return err
-	})
-	if err != nil {
-		return l.mirrorFailed(err)
-	}
-	rc.Bytes.Add(int64(total))
-	return nil
-}
-
 // --- truncation / checkpoint refresh ---------------------------------------
 
 func (l *Log) trimLoop() {
 	defer l.wg.Done()
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	for {
 		for !l.closed && !l.broken && (!l.refreshReq || l.recovering) {
 			l.trimCond.Wait()
 		}
 		if l.closed || l.broken {
-			break
+			return
 		}
-		l.refreshReq = false
+		kick := l.kickReq && l.cfg.Kick != nil
+		l.refreshReq, l.kickReq = false, false
 		l.mu.Unlock()
+		if kick {
+			l.cfg.Kick() // one kick serves every stager parked since the last refresh
+		}
 		blob, covered := l.cfg.Refresh()
 		err := l.publishRefresh(blob, covered)
 		l.mu.Lock()
 		if err != nil {
 			l.failLocked(fmt.Errorf("wal: checkpoint refresh: %w", err))
-			break
+			return
 		}
 	}
-	l.mu.Unlock()
 }
 
 // publishRefresh writes blob into the inactive checkpoint slot, flips the
@@ -841,36 +467,27 @@ func (l *Log) publishRefresh(blob []byte, covered uint64) error {
 	}
 	target := 1 - l.ckptSlot
 	epoch := l.epoch
-	tag := uint64(0)
 	if l.cfg.Replica != nil {
 		l.pubSeq++
-		tag = l.pubSeq
 	}
+	tag := l.pubSeq
 	// Trim plan: pop durable records fully below the horizon. The frees
 	// are applied only after the header lands. While a truncation hold is
 	// in force (shard migration reading the tail) nothing is popped — the
 	// checkpoint still publishes, but every live record stays readable.
 	trimN, freed := 0, 0
-	startOff, startLSN := l.head, uint64(0)
 	if l.holdTrunc == 0 {
 		for _, r := range l.live {
 			if r.lsn > l.durableLSN || r.maxSeq > covered {
 				break
 			}
 			trimN++
-			freed += r.padBefore + r.size
-			startOff = r.off + r.size
-			if startOff == l.ringSize {
-				startOff = 0
-			}
+			freed += r.pad + r.size
 		}
 	}
-	if trimN > 0 {
-		startLSN = l.live[trimN-1].lsn + 1
-	} else if len(l.live) > 0 {
-		startOff, startLSN = l.live[0].off, l.live[0].lsn
-	} else {
-		startOff, startLSN = l.tail, l.nextLSN
+	startOff, startLSN := l.ring.tail, l.nextLSN // nothing survives: the next record starts the ring
+	if trimN < len(l.live) {
+		startOff, startLSN = l.live[trimN].off, l.live[trimN].lsn
 	}
 	l.mu.Unlock()
 
@@ -880,7 +497,7 @@ func (l *Log) publishRefresh(blob []byte, covered uint64) error {
 	// bounded to one stale-but-self-consistent header, which the new
 	// owner's own FinishRecovery header supersedes; real deployments close
 	// even that window by revoking the deposed node's rkeys.)
-	if err := l.checkFence(l.trimQP); err != nil {
+	if err := l.checkFence(); err != nil {
 		return err
 	}
 	h := Header{
@@ -889,54 +506,52 @@ func (l *Log) publishRefresh(blob []byte, covered uint64) error {
 		CkptLen: uint32(len(blob)), CkptCRC: crc32.ChecksumIEEE(blob),
 		Tag: tag,
 	}
-	// Replica first: ring space freed below is only ever reused once BOTH
-	// headers have advanced past it, so each slot image stays individually
-	// recoverable no matter where a crash lands; a crash between the two
-	// flips leaves the replica one Tag ahead (see Header.Tag).
-	if l.mirrorActive() {
-		done, merr := l.mirrorCheckpoint(blob, h)
-		if merr != nil {
-			if merr = l.mirrorFailed(merr); merr != nil {
-				return merr
-			}
-		} else if !done {
-			return nil // a named table is not mirrored yet; keep the previous pair
-		}
-	}
-	if len(blob) > 0 {
-		mr := l.cfg.Compute.RegisterBuf(append([]byte(nil), blob...))
-		err := l.retrySync(func() error {
-			return l.trimQP.WriteSync(mr, 0, l.cfg.Slot.Add(HeaderSize+int(target)*l.ckptCap), len(blob))
-		})
-		l.cfg.Compute.Deregister(mr)
-		if err != nil {
-			return err
-		}
-	}
-	if err := l.writeHeader(h); err != nil {
+	if done, err := l.publishPair(blob, h); err != nil || !done {
 		return err
 	}
 
 	l.mu.Lock()
 	l.live = l.live[trimN:]
-	l.used -= freed
-	l.head = startOff
+	l.ring.used -= freed
 	l.durableCovered = covered
 	l.ckptSlot = target
 	l.cfg.Metrics.Truncations.Inc()
 	if freed > 0 {
-		l.spaceCond.Broadcast()
+		l.ringCond.Broadcast()
 	}
 	l.mu.Unlock()
 	return nil
 }
 
+// publishPair makes (blob, h) the slot's recovery baseline: the blob into
+// the checkpoint slot h names, then the header flip. Replica first: ring
+// space freed by h is only reused once BOTH headers have advanced past it,
+// so each slot image stays individually recoverable wherever a crash
+// lands; one between the two flips leaves the replica one Tag ahead.
+// done=false: a named table is not mirrored yet, the previous pair stays.
+func (l *Log) publishPair(blob []byte, h Header) (done bool, err error) {
+	if l.mirrorActive() {
+		done, err = l.mirrorCheckpoint(blob, h)
+		if err != nil {
+			if err = l.mirrorFailed(err); err != nil {
+				return false, err
+			}
+		} else if !done {
+			return false, nil
+		}
+	}
+	if len(blob) > 0 {
+		if err := l.writeSlot(l.trimQP, l.cfg.Slot.Add(h.CkptOffset()), blob); err != nil {
+			return false, err
+		}
+	}
+	return true, l.writeSlot(l.trimQP, l.cfg.Slot, encodeHeader(h))
+}
+
 // mirrorCheckpoint publishes the checkpoint pair half that lives on the
 // mirror slot: the blob — translated into replica-side table addresses —
-// into the target checkpoint slot, then the replica header. Called before
-// the primary flip. done=false means the blob cannot be translated (or
-// does not fit) yet and the whole refresh should be skipped; the previous
-// self-consistent pair stays in force.
+// into the target checkpoint slot, then the replica header. done=false
+// means the blob cannot be translated (or does not fit) yet.
 func (l *Log) mirrorCheckpoint(blob []byte, h Header) (done bool, err error) {
 	rc := l.cfg.Replica
 	rblob := blob
@@ -951,19 +566,13 @@ func (l *Log) mirrorCheckpoint(blob []byte, h Header) (done bool, err error) {
 		return false, nil
 	}
 	if len(rblob) > 0 {
-		mr := l.cfg.Compute.RegisterBuf(append([]byte(nil), rblob...))
-		werr := l.retrySync(func() error {
-			return l.replTrimQP.WriteSync(mr, 0, rc.Slot.Add(HeaderSize+int(h.CkptSlot)*l.ckptCap), len(rblob))
-		})
-		l.cfg.Compute.Deregister(mr)
-		if werr != nil {
+		if werr := l.writeReplica(h.CkptOffset(), rblob); werr != nil {
 			return false, werr
 		}
-		rc.Bytes.Add(int64(len(rblob)))
 	}
 	h.CkptLen = uint32(len(rblob))
 	h.CkptCRC = crc32.ChecksumIEEE(rblob)
-	if werr := l.writeReplicaHeader(h); werr != nil {
+	if werr := l.writeReplica(0, encodeHeader(h)); werr != nil {
 		return false, werr
 	}
 	if rc.TornHook != nil {
@@ -979,69 +588,34 @@ func (l *Log) mirrorCheckpoint(blob []byte, h Header) (done bool, err error) {
 // against the untouched old state.
 func (l *Log) FinishRecovery() error {
 	l.mu.Lock()
-	if !l.recovering {
-		l.mu.Unlock()
+	recovering := l.recovering
+	l.mu.Unlock()
+	if !recovering {
 		return fmt.Errorf("wal: not recovering")
 	}
-	l.mu.Unlock()
 
-	old, err := l.readHeader()
-	epoch := uint64(1)
-	if err == nil {
-		epoch = old.Epoch + 1
-	}
 	blob, covered := l.cfg.Refresh()
 	if len(blob) > l.ckptCap {
 		return fmt.Errorf("wal: recovery checkpoint (%d bytes) exceeds slot capacity %d", len(blob), l.ckptCap)
 	}
-	target := uint32(0)
-	if err == nil {
-		target = 1 - old.CkptSlot&1
-	}
-	h := Header{
-		Epoch: epoch, StartOff: 0, StartLSN: 1, Covered: covered,
-		CkptCap: uint32(l.ckptCap), CkptSlot: target,
-		CkptLen: uint32(len(blob)), CkptCRC: crc32.ChecksumIEEE(blob),
-	}
-	tag := uint64(0)
-	if l.cfg.Replica != nil {
-		tag = old.Tag + 1
-		h.Tag = tag
-		done, merr := l.mirrorCheckpoint(blob, h)
-		if merr != nil {
-			if merr = l.mirrorFailed(merr); merr != nil {
-				return merr
-			}
-		} else if !done {
-			return fmt.Errorf("wal: recovery checkpoint not mirrorable")
-		}
-	}
-	if len(blob) > 0 {
-		mr := l.cfg.Compute.RegisterBuf(append([]byte(nil), blob...))
-		werr := l.retrySync(func() error {
-			return l.trimQP.WriteSync(mr, 0, l.cfg.Slot.Add(HeaderSize+int(target)*l.ckptCap), len(blob))
-		})
-		l.cfg.Compute.Deregister(mr)
-		if werr != nil {
-			return werr
-		}
-	}
-	if err := l.writeHeader(h); err != nil {
+	h := l.nextLife()
+	h.Covered, h.CkptLen, h.CkptCRC = covered, uint32(len(blob)), crc32.ChecksumIEEE(blob)
+	if done, err := l.publishPair(blob, h); err != nil {
 		return err
+	} else if !done {
+		return fmt.Errorf("wal: recovery checkpoint not mirrorable")
 	}
 
 	l.mu.Lock()
-	l.epoch = epoch
+	l.epoch = h.Epoch
 	l.nextLSN = 1
-	l.durableLSN = 0
-	l.pending = nil
+	l.posted, l.durableLSN = 0, 0
 	l.live = nil
-	l.head, l.tail, l.used = 0, 0, 0
+	l.ring = byteRing{size: l.ringSize}
 	l.durableCovered = covered
-	l.ckptSlot = target
-	l.pubSeq = tag
+	l.ckptSlot = h.CkptSlot
+	l.pubSeq = h.Tag
 	l.recovering = false
-	l.appendCond.Broadcast()
 	l.trimCond.Broadcast()
 	l.mu.Unlock()
 	return nil

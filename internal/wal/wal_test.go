@@ -31,7 +31,7 @@ func newLogHost(mn *rdma.Node) *logHost {
 	return &logHost{node: mn, mr: mn.Register(8 << 20), logs: map[uint64]logSlot{}}
 }
 
-func (h *logHost) Node() *rdma.Node         { return h.node }
+func (h *logHost) Node() *rdma.Node          { return h.node }
 func (h *logHost) LogMR() *rdma.MemoryRegion { return h.mr }
 
 func (h *logHost) OpenLog(key uint64, size int64) (logSlot, error) {
@@ -81,6 +81,12 @@ type testWAL struct {
 
 func openTestWAL(t *testing.T, env *sim.Env, cn *rdma.Node, srv *logHost, key uint64, slotSize int64, perWrite bool) *testWAL {
 	t.Helper()
+	return openMirroredTestWAL(t, env, cn, srv, key, slotSize, perWrite, nil)
+}
+
+// openMirroredTestWAL is openTestWAL with a replica slot (nil: none).
+func openMirroredTestWAL(t *testing.T, env *sim.Env, cn *rdma.Node, srv *logHost, key uint64, slotSize int64, perWrite bool, replica *ReplicaConfig) *testWAL {
+	t.Helper()
 	slot, err := srv.OpenLog(key, slotSize)
 	if err != nil {
 		t.Fatalf("OpenLog: %v", err)
@@ -94,12 +100,15 @@ func openTestWAL(t *testing.T, env *sim.Env, cn *rdma.Node, srv *logHost, key ui
 		GroupRecords: reg.Histogram(fmt.Sprintf("test.wal%d.group", key)),
 		Truncations:  reg.Counter(fmt.Sprintf("test.wal%d.truncations", key)),
 		RingStalls:   reg.Counter(fmt.Sprintf("test.wal%d.stalls", key)),
+		RingStallNS:  reg.Counter(fmt.Sprintf("test.wal%d.stall_ns", key)),
+		CommitWait:   reg.Histogram(fmt.Sprintf("test.wal%d.commit_wait", key)),
+		Inflight:     reg.Gauge(fmt.Sprintf("test.wal%d.inflight", key)),
 	}
 	l, err := Open(Config{
 		Env: env, Compute: cn, Host: srv.Node(),
 		Slot: slot.Addr, SlotSize: slot.Size,
-		PerWrite: perWrite,
-		Refresh:  func() ([]byte, uint64) { return []byte("test-checkpoint-blob"), tw.covered.Load() },
+		PerWrite: perWrite, Replica: replica,
+		Refresh: func() ([]byte, uint64) { return []byte("test-checkpoint-blob"), tw.covered.Load() },
 		Kick: func() {
 			if a := tw.acked.Load(); a > 20 {
 				for {
@@ -130,10 +139,15 @@ func (tw *testWAL) put(t *testing.T, seq uint64, key, value string) {
 	if err := tw.l.Commit(tok, true); err != nil {
 		t.Fatalf("Commit(seq=%d): %v", seq, err)
 	}
+	tw.noteAcked(seq)
+}
+
+// noteAcked raises the acked frontier Kick derives the horizon from.
+func (tw *testWAL) noteAcked(seq uint64) {
 	for {
 		cur := tw.acked.Load()
 		if seq <= cur || tw.acked.CompareAndSwap(cur, seq) {
-			break
+			return
 		}
 	}
 }
@@ -150,14 +164,14 @@ func slotImage(srv *logHost, key uint64) []byte {
 func TestHeaderRoundTrip(t *testing.T) {
 	h := Header{Epoch: 7, StartOff: 1234, StartLSN: 99, Covered: 424242,
 		CkptCap: 4096, CkptSlot: 1, CkptLen: 17, CkptCRC: 0xDEADBEEF}
-	got, err := decodeHeader(encodeHeader(h))
+	got, err := DecodeHeader(encodeHeader(h))
 	if err != nil {
 		t.Fatalf("decodeHeader: %v", err)
 	}
 	if got != h {
 		t.Fatalf("round trip: got %+v want %+v", got, h)
 	}
-	if _, err := decodeHeader(make([]byte, HeaderSize)); err == nil {
+	if _, err := DecodeHeader(make([]byte, HeaderSize)); err == nil {
 		t.Fatal("zero header decoded without error")
 	}
 }
@@ -396,61 +410,4 @@ func TestTornTailDetection(t *testing.T) {
 		}
 		tw.l.Close()
 	})
-}
-
-func TestGroupCommitCoalescing(t *testing.T) {
-	run := func(perWrite bool) (appends, doorbells int64, maxGroup float64) {
-		var a, d int64
-		var mg float64
-		walHarness(t, func(env *sim.Env, cn *rdma.Node, srv *logHost) {
-			key := uint64(5)
-			if perWrite {
-				key = 6
-			}
-			tw := openTestWAL(t, env, cn, srv, key, 256<<10, perWrite)
-			var seqCtr atomic.Uint64
-			const writers, perWriter = 16, 25
-			wg := sim.NewWaitGroup(env)
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				env.Go(func() {
-					defer wg.Done()
-					for i := 0; i < perWriter; i++ {
-						seq := seqCtr.Add(1)
-						tok, err := tw.l.Stage(seq, 1, func(int) (byte, []byte, []byte) {
-							return 1, []byte(fmt.Sprintf("k%06d", seq)), []byte("value-payload")
-						})
-						if err != nil {
-							t.Errorf("Stage: %v", err)
-							return
-						}
-						if err := tw.l.Commit(tok, true); err != nil {
-							t.Errorf("Commit: %v", err)
-							return
-						}
-					}
-				})
-			}
-			wg.Wait()
-			a, d = tw.m.Appends.Load(), tw.m.Doorbells.Load()
-			mg = float64(tw.m.GroupRecords.Snapshot().Max)
-			tw.l.Close()
-		})
-		return a, d, mg
-	}
-	ga, gd, gmax := run(false)
-	pa, pd, _ := run(true)
-	if ga != 16*25 || pa != 16*25 {
-		t.Fatalf("appends: group=%d perwrite=%d want %d", ga, pa, 16*25)
-	}
-	if gd >= ga {
-		t.Fatalf("group commit did not coalesce: %d doorbells for %d appends", gd, ga)
-	}
-	if gmax < 2 {
-		t.Fatalf("max group size %v, expected coalescing under concurrency", gmax)
-	}
-	if pd != pa {
-		t.Fatalf("per-write mode: %d doorbells for %d appends, want equal", pd, pa)
-	}
-	t.Logf("group: %d doorbells / %d appends (max group %v); per-write: %d/%d", gd, ga, gmax, pd, pa)
 }
