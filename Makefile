@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check build test vet race fuzz benchsmoke bench cache faults wal repl scan scaleout offload rebalance ycsb
+.PHONY: check build test vet race fuzz benchsmoke bench perf cache faults wal repl scan scaleout offload rebalance ycsb
 
 check: vet build test race fuzz benchsmoke
 
@@ -106,3 +106,10 @@ faults:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
+
+# One workload of the repo benchmark (BENCHMARK.json), end-to-end metrics
+# only: `make perf W=ycsb_a_svc [SEED=7]`. Run it here and in a checkout of
+# the parent commit for the before/after of a perf change.
+SEED ?= 7
+perf:
+	python3 benchmarks/run.py --workload $(W) --seed $(SEED) --seconds 5 --trace 0

@@ -359,6 +359,10 @@ func (db *DB) runCompaction(w *bgWorker, c *version.Compaction) {
 	db.mu.Unlock()
 }
 
+// metaSlack bounds one encoded table meta without its index and filter
+// (boundary keys, extent, counters) when sizing an RPC reply region.
+const metaSlack = 4 << 10
+
 // compactRemote offloads the merge to the memory node through the
 // customized RPC (§V, §X-D2): only metadata travels; table bytes never
 // cross the network.
@@ -372,9 +376,14 @@ func (db *DB) compactRemote(w *bgWorker, c *version.Compaction) ([]*sstable.Meta
 		BlockSize:        db.opts.BlockSize,
 		BitsPerKey:       db.opts.BitsPerKey,
 	}
+	// The reply carries every output's cached index and filter: no more
+	// than the inputs' together, plus per-table framing.
+	replyMax := 64 << 10
 	for _, f := range c.Files() {
 		args.Inputs = append(args.Inputs, f.Meta)
+		replyMax += f.Meta.IndexLen + f.Meta.FilterLen + metaSlack
 	}
+	replyMax += db.opts.Subcompactions * metaSlack // each may cut one more table
 	// A stable nonzero job id: every retry of this call re-sends the same
 	// bytes, so the memory node can deduplicate redelivery. Derived from
 	// the first input's identity — its table id and extent offset are
@@ -388,7 +397,9 @@ func (db *DB) compactRemote(w *bgWorker, c *version.Compaction) ([]*sstable.Meta
 	m0 := args.Inputs[0]
 	args.JobID = sim.Mix64(uint64(db.env.Seed()), uint64(db.cn.ID),
 		db.instanceID, uint64(m0.ID), uint64(m0.Data.Off), m0.MaxSeq) | 1
-	reply, err := w.largeClient().CallLargePolicy("compact", memnode.EncodeCompactArgs(args), db.opts.CompactRPC)
+	cli := w.largeClient()
+	cli.GrowReply(replyMax)
+	reply, err := cli.CallLargePolicy("compact", memnode.EncodeCompactArgs(args), db.opts.CompactRPC)
 	if err != nil {
 		// Give up on the remote job. Best effort: if the merge is still
 		// running (or finishes later), the cancel frees its unclaimed

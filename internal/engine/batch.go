@@ -2,7 +2,7 @@ package engine
 
 import (
 	"dlsm/internal/keys"
-	"dlsm/internal/memtable"
+	"dlsm/internal/wal"
 )
 
 // Batch buffers Put/Delete operations so Session.Apply can claim one
@@ -58,12 +58,24 @@ func (b *Batch) Entry(i int) (key, value []byte, del bool) {
 	return key, value, e.del
 }
 
+// walEntry is Entry in the shape the log's framing callback takes.
+func (b *Batch) walEntry(i int) (kind byte, key, value []byte) {
+	key, value, del := b.Entry(i)
+	if del {
+		return byte(keys.KindDelete), key, value
+	}
+	return byte(keys.KindSet), key, value
+}
+
 // Apply writes every operation in the batch. Under SwitchSeqRange one
-// fetch-add claims the whole contiguous sequence range [hi-n+1, hi], so
-// the per-write atomic traffic of §IV is paid once per batch; entries are
-// then routed to whichever MemTable owns their sequence (a batch may span
-// a range boundary). Under SwitchLocked the global write lock is taken
-// once for the batch instead of once per entry.
+// fetch-add claims the whole contiguous sequence range [lo, lo+n), so the
+// per-write atomic traffic of §IV is paid once per batch; entries are then
+// routed to whichever MemTable owns their sequence (a batch may span a
+// range boundary). Under SwitchLocked the global write lock is taken once
+// for the batch instead of once per entry. With the log on, the batch is
+// one record and one doorbell, posted before the first insert (see write);
+// a batch too big for one record is claimed and posted a record's worth at
+// a time.
 //
 // Entries become visible individually as they are inserted — Apply is a
 // throughput construct, not a transaction.
@@ -85,48 +97,48 @@ func (s *Session) Apply(b *Batch) error {
 		return err
 	}
 
-	var lo uint64
-	var locked *memtable.MemTable
-	switch db.opts.SwitchPolicy {
-	case SwitchSeqRange:
-		hi := db.seq.Add(uint64(n))
-		lo = hi - uint64(n) + 1
-		s.claim.Store(lo)
-	case SwitchLocked:
-		db.writeMu.Lock()
-		db.charge(db.opts.SyncOverhead)
-		hi := db.seq.Add(uint64(n))
-		lo = hi - uint64(n) + 1
-		s.claim.Store(lo)
-		locked = db.cur.Load()
-		if locked.ApproximateSize() >= db.opts.MemTableSize {
-			db.sizeSwitch(locked)
-			locked = db.cur.Load()
-		}
-		db.writeMu.Unlock()
+	var ent func(int) (byte, []byte, []byte) // non-nil: this write is logged
+	var tok wal.Token
+	if db.walEnabled() {
+		ent = b.walEntry
 	}
-
-	for i := 0; i < n; i++ {
-		seq := keys.Seq(lo + uint64(i))
-		// Advancing the claim releases already-inserted prefixes to the
-		// flushers' quiesce barrier.
-		s.claim.Store(uint64(seq))
-		mt := locked
-		if mt == nil {
-			mt = db.tableFor(seq)
+	for i := 0; i < n; {
+		end := n
+		if ent != nil {
+			var err error
+			if tok, err = db.wal.Reserve(i, n, ent); err != nil {
+				return err
+			}
+			end = tok.End()
 		}
-		key, value, del := b.Entry(i)
-		kind := keys.KindSet
-		if del {
-			kind = keys.KindDelete
+		lo, locked := s.claimSeqs(end - i)
+		if ent != nil {
+			if err := db.wal.Post(tok, lo, ent); err != nil {
+				s.claim.Store(0)
+				return err
+			}
 		}
-		mt.BeginWrite()
-		s.chargeBatched(db.opts.Costs.MemInsert + db.opts.WritePathExtra)
-		mt.Add(seq, kind, key, value)
-		mt.EndWrite()
+		db.stats.Writes.Add(int64(end - i))
+		for seq := keys.Seq(lo); i < end; i, seq = i+1, seq+1 {
+			// Advancing the claim releases already-inserted prefixes to the
+			// flushers' quiesce barrier.
+			s.claim.Store(uint64(seq))
+			mt := locked
+			if mt == nil {
+				mt = db.tableFor(seq)
+			}
+			key, value, del := b.Entry(i)
+			kind := keys.KindSet
+			if del {
+				kind = keys.KindDelete
+			}
+			mt.BeginWrite()
+			s.chargeBatched(db.opts.Costs.MemInsert + db.opts.WritePathExtra)
+			mt.Add(seq, kind, key, value)
+			mt.EndWrite()
+		}
+		s.claim.Store(0)
 	}
-	s.claim.Store(0)
-	db.stats.Writes.Add(int64(n))
 
 	// One size-triggered switch check for the whole batch (SeqRange).
 	if db.opts.SwitchPolicy == SwitchSeqRange {
@@ -134,17 +146,8 @@ func (s *Session) Apply(b *Batch) error {
 			db.sizeSwitch(mt)
 		}
 	}
-
-	// Durability: one log append covers the batch's whole sequence range,
-	// so the commit path posts it as one run of records (one doorbell).
-	if db.walEnabled() {
-		return db.walAppend(lo, n, func(i int) (byte, []byte, []byte) {
-			key, value, del := b.Entry(i)
-			if del {
-				return byte(keys.KindDelete), key, value
-			}
-			return byte(keys.KindSet), key, value
-		})
+	if ent != nil {
+		return s.walCommit(tok)
 	}
 	return nil
 }

@@ -71,7 +71,9 @@ func (db *DB) flushRemote(w *bgWorker, mt *memtable.MemTable, capacity int64) (*
 		args.Entries = db.encodeMemtableEntries(mt)
 	}
 
-	reply, err := w.largeClient().CallLargePolicy("flush_build",
+	cli := w.largeClient()
+	cli.GrowReply(int(args.FooterReserve) + metaSlack) // one meta: its index and filter fit the footer headroom
+	reply, err := cli.CallLargePolicy("flush_build",
 		memnode.EncodeFlushBuildArgs(args), db.opts.CompactRPC)
 	if err != nil {
 		// Give up on the remote build. Best effort: if the job is still
@@ -90,12 +92,13 @@ func (db *DB) flushRemote(w *bgWorker, mt *memtable.MemTable, capacity int64) (*
 	}
 	m := outputs[0]
 	if m.Count != mt.Len() {
-		// The replay view can legitimately miss entries that reached the
-		// memtable but were never staged to the log (an ErrTooLarge append,
-		// a writer between claim release and Stage). Entry sequences are
-		// unique and range-filtered, so the built count can only fall
-		// short — equality certifies completeness. Drop the remote table
-		// and let the caller fall back to the compute-local build.
+		// Every logged entry is posted to the ring before its claim clears
+		// and the quiesce barrier above waited those claims out, so the
+		// view is complete by construction. Entry sequences are unique and
+		// range-filtered: the built count can only fall short, and equality
+		// certifies that the memory node parsed every record it was shown.
+		// On a shortfall drop the remote table and let the caller fall
+		// back to the compute-local build.
 		db.cancelRemoteJob(w, args.JobID)
 		return nil, fmt.Errorf("engine: offloaded flush built %d of %d entries", m.Count, mt.Len())
 	}

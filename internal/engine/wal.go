@@ -83,6 +83,7 @@ func (db *DB) openWAL(recovering bool) error {
 			// deployment's snapshot stays free of them.
 			RingStallNS: db.tel.Counter("wal.ring_stall_ns"),
 			CommitWait:  db.tel.Histogram("wal.commit_wait_ns"),
+			CommitPark:  db.tel.Histogram("wal.commit_park_ns"),
 			Inflight:    db.tel.Gauge("wal.inflight_doorbells"),
 		},
 	}, recovering)
@@ -139,16 +140,17 @@ func (db *DB) walKick() {
 	db.switchMu.Unlock()
 }
 
-// walAppend logs n consecutive-sequence entries starting at seqLo, after
-// they are already in the MemTable, and resolves the append per the
-// durability mode: Sync waits until the record's doorbell completes, Async
-// only surfaces an already-broken log. Call with no engine locks held.
-func (db *DB) walAppend(seqLo uint64, n int, ent func(i int) (kind byte, key, value []byte)) error {
-	tok, err := db.wal.Stage(seqLo, n, ent)
-	if err != nil {
-		return err
+// walCommit resolves a posted write per the durability mode: Async only
+// surfaces an already-broken log; Sync waits until the record's doorbell
+// completes. A writer about to park first settles its batched CPU debt, so
+// the model charges the insert where it happened — while the doorbell was
+// in flight — and not to some later write. Call with no engine locks held.
+func (s *Session) walCommit(tok wal.Token) error {
+	sync := s.db.opts.Durability == DurabilitySync
+	if sync {
+		s.FlushCPU()
 	}
-	return db.wal.Commit(tok, db.opts.Durability == DurabilitySync)
+	return s.db.wal.Commit(tok, sync)
 }
 
 // walEnabled reports whether writes should be logged right now (the log

@@ -7,6 +7,7 @@ import (
 	"dlsm/internal/keys"
 	"dlsm/internal/memtable"
 	"dlsm/internal/sim"
+	"dlsm/internal/wal"
 )
 
 // ErrClosed is returned by writes against a closed Session or DB.
@@ -40,32 +41,29 @@ func (s *Session) write(kind keys.Kind, key, value []byte) error {
 		return err
 	}
 
-	var seq keys.Seq
-	var mt *memtable.MemTable
-	switch db.opts.SwitchPolicy {
-	case SwitchSeqRange:
-		// dLSM (§IV): a lock-free fetch-and-add assigns the sequence; the
-		// table is determined by which range the sequence falls in, so
-		// only range-boundary writers ever touch the switch lock. The
-		// claim publishes the in-flight sequence so flushers quiesce
-		// straggler inserts into already-switched tables.
-		seq = keys.Seq(db.seq.Add(1))
-		s.claim.Store(uint64(seq))
-		mt = db.tableFor(seq)
-	case SwitchLocked:
-		// Conventional ports: sequence assignment and the full-table
-		// check are a critical section; the CPU burned while holding the
-		// lock caps aggregate write throughput regardless of threads.
-		db.writeMu.Lock()
-		db.charge(db.opts.SyncOverhead)
-		seq = keys.Seq(db.seq.Add(1))
-		s.claim.Store(uint64(seq))
-		mt = db.cur.Load()
-		if mt.ApproximateSize() >= db.opts.MemTableSize {
-			db.sizeSwitch(mt)
-			mt = db.cur.Load()
+	// Durability: claim -> post -> insert -> wait (DESIGN.md §14). The log
+	// record is reserved before the sequence is claimed — only Reserve can
+	// park on the log — and posted before the insert, so its round trip
+	// overlaps the MemTable work. A write the log refuses is not applied.
+	var ent func(int) (byte, []byte, []byte) // non-nil: this write is logged
+	var tok wal.Token
+	if db.walEnabled() {
+		ent = func(int) (byte, []byte, []byte) { return byte(kind), key, value }
+		var err error
+		if tok, err = db.wal.Reserve(0, 1, ent); err != nil {
+			return err
 		}
-		db.writeMu.Unlock()
+	}
+	lo, mt := s.claimSeqs(1)
+	seq := keys.Seq(lo)
+	if ent != nil {
+		if err := db.wal.Post(tok, lo, ent); err != nil {
+			s.claim.Store(0) // the burned sequence maps to no entry
+			return err
+		}
+	}
+	if mt == nil {
+		mt = db.tableFor(seq)
 	}
 
 	mt.BeginWrite()
@@ -81,17 +79,41 @@ func (s *Session) write(kind keys.Kind, key, value []byte) error {
 		mt.ApproximateSize() >= db.opts.MemTableSize && db.cur.Load() == mt {
 		db.sizeSwitch(mt)
 	}
-
-	// Durability: log the write after the insert. A record lost to a crash
-	// between insert and doorbell was never acknowledged, so replay owing
-	// it nothing is exactly the contract; Sync mode returns only once the
-	// record is durable in the remote ring.
-	if db.walEnabled() {
-		return db.walAppend(uint64(seq), 1, func(int) (byte, []byte, []byte) {
-			return byte(kind), key, value
-		})
+	if ent != nil {
+		return s.walCommit(tok)
 	}
 	return nil
+}
+
+// claimSeqs claims n consecutive sequence numbers and publishes the lowest
+// as the session's in-flight claim, so flushers quiesce straggler inserts
+// into already-switched tables. The caller clears the claim once its
+// entries are inserted, and must not park on the log before that.
+func (s *Session) claimSeqs(n int) (lo uint64, locked *memtable.MemTable) {
+	db := s.db
+	if db.opts.SwitchPolicy == SwitchSeqRange {
+		// dLSM (§IV): a lock-free fetch-and-add assigns the sequences; the
+		// table is determined by which range a sequence falls in
+		// (tableFor), so only range-boundary writers ever touch the switch
+		// lock.
+		lo = db.seq.Add(uint64(n)) - uint64(n) + 1
+		s.claim.Store(lo)
+		return lo, nil
+	}
+	// Conventional ports (SwitchLocked): sequence assignment and the
+	// full-table check are a critical section; the CPU burned while holding
+	// the lock caps aggregate write throughput regardless of threads.
+	db.writeMu.Lock()
+	db.charge(db.opts.SyncOverhead)
+	lo = db.seq.Add(uint64(n)) - uint64(n) + 1
+	s.claim.Store(lo)
+	locked = db.cur.Load()
+	if locked.ApproximateSize() >= db.opts.MemTableSize {
+		db.sizeSwitch(locked)
+		locked = db.cur.Load()
+	}
+	db.writeMu.Unlock()
+	return lo, locked
 }
 
 // sizeSwitch retires mt because it reached its size limit, truncating its

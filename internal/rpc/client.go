@@ -257,6 +257,18 @@ func (c *Client) stageArgs(args []byte) {
 	copy(c.args.Bytes(0, len(args)), args)
 }
 
+// GrowReply makes the reply region hold a payload of up to n bytes, growing
+// it on demand the way stageArgs grows the argument buffer. A caller that
+// can bound its reply (a compaction's output metas) asks before the call:
+// a reply that does not fit comes back as an error only after the responder
+// did the whole job. The outgrown region is deregistered, like a renewal.
+func (c *Client) GrowReply(n int) {
+	if need := n + replyOverhead + 1; c.reply.Size() < need {
+		c.node.Deregister(c.reply)
+		c.reply = c.node.Register(need)
+	}
+}
+
 // renewReply swaps the reply region for a freshly registered one of the
 // same size, invalidating the rkey any in-flight responder still holds.
 func (c *Client) renewReply() {

@@ -22,11 +22,16 @@ const (
 // padBytes is the wrap marker stamped at the ring's tail edge.
 var padBytes = []byte{0xFF, 0xFF, 0xFF, 0xFF}
 
-// Token identifies a staged append; Commit waits on it.
+// Token identifies one reserved record and the entries [from, to) of the
+// caller's batch it holds; Post frames it, Commit waits on it.
 type Token struct {
-	lsn uint64
-	at  sim.Time // Stage entry (wal.commit_wait_ns)
+	lsn      uint64
+	from, to int
 }
+
+// End is the index one past the record's last entry: where the caller's
+// next record, if the batch outgrew this one, starts.
+func (t Token) End() int { return t.to }
 
 // liveRec is one record resident in the ring, FIFO by LSN. Until it is
 // acknowledged its frame also sits in the staging ring.
@@ -39,6 +44,8 @@ type liveRec struct {
 	sfree  int // staging bytes its acknowledgement releases (frame, marker, edge waste)
 	loSeq  uint64
 	maxSeq uint64
+	framed bool     // Post has written the frame and set loSeq, maxSeq
+	at     sim.Time // Reserve entry (wal.commit_wait_ns)
 }
 
 // doorbell is one posted, un-reaped run of contiguous records.
@@ -80,7 +87,7 @@ func (r *byteRing) take(pad, need int) (off int) {
 	return off
 }
 
-// maxBody is the largest record body Stage will build: it must fit the
+// maxBody is the largest record body Reserve will plan: it must fit the
 // staging ring beside a pad marker and a quarter of the remote ring.
 func (l *Log) maxBody() int {
 	return min(l.ringSize/4, l.stage.size-len(padBytes)) - recOverhead
@@ -99,57 +106,73 @@ func (l *Log) unusableLocked() error {
 	return nil
 }
 
-// Stage frames the entries [0,n) — consecutive sequence numbers starting
-// at seqLo — into one or more records, each written exactly once, straight
-// into the staging ring, and returns the token of the last. The caller has
-// already inserted into the MemTable and calls Commit next; records become
-// durable in LSN order. Stage parks while either ring is full. The token
-// means something only when the error is nil.
-func (l *Log) Stage(seqLo uint64, n int, ent func(i int) (kind byte, key, value []byte)) (Token, error) {
-	tok := Token{at: l.env.Now()}
-	maxBody := l.maxBody()
-	staged := 0
-	var err error
-	l.mu.Lock()
-	for i := 0; i < n && err == nil; {
-		body := recFixed
-		j := i
-		for j < n {
-			_, key, value := ent(j)
-			sz := entryOverhead + len(key) + len(value)
-			if body+sz > maxBody {
-				break
-			}
-			body += sz
-			j++
-		}
-		if j == i {
-			// A single entry exceeds the record budget; already-staged
-			// chunks are harmless (their seqs never ack).
-			err = ErrTooLarge
+// Reserve claims the next LSN and a place in both rings for one record
+// holding the longest prefix of the entries [from, n) a record has room
+// for. It parks while either ring is full, so a writer reserves before it
+// claims its sequence numbers: parked here under a claim it would block the
+// very flush that frees the ring (DESIGN.md §14).
+func (l *Log) Reserve(from, n int, ent func(i int) (kind byte, key, value []byte)) (Token, error) {
+	at := l.env.Now()
+	body, to := recFixed, from
+	for maxBody := l.maxBody(); to < n; to++ {
+		_, key, value := ent(to)
+		sz := entryOverhead + len(key) + len(value)
+		if body+sz > maxBody {
 			break
 		}
-		var rec liveRec
-		if rec, err = l.reserveLocked(body + recOverhead); err != nil {
-			break
-		}
-		base := i
-		rec.loSeq, rec.maxSeq = seqLo+uint64(base), seqLo+uint64(j)-1
-		appendRecord(l.staging.Bytes(rec.soff, rec.size)[:0], l.epoch, rec.lsn, rec.loSeq, j-i,
-			func(k int) (byte, []byte, []byte) { return ent(base + k) })
-		l.live = append(l.live, rec)
-		staged += rec.size
-		l.cfg.Metrics.Appends.Inc()
-		l.cfg.Metrics.AppendBytes.Add(int64(rec.size))
-		tok.lsn = rec.lsn
-		i = j
+		body += sz
 	}
+	if to == from {
+		return Token{}, ErrTooLarge
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	rec, err := l.reserveLocked(body + recOverhead)
+	if err != nil {
+		return Token{}, err
+	}
+	rec.at = at
+	l.live = append(l.live, rec)
+	return Token{lsn: rec.lsn, from: from, to: to}, nil
+}
+
+// Post frames the reserved record — written exactly once, straight into the
+// staging ring, its entries numbered consecutively from seqLo — and pumps.
+// It never parks, so it may run under a sequence claim; records become
+// durable in LSN order. An error means the log closed or broke since
+// Reserve: the record will never be durable and the caller must not apply
+// the write.
+func (l *Log) Post(t Token, seqLo uint64, ent func(i int) (kind byte, key, value []byte)) error {
+	l.mu.Lock()
+	if err := l.unusableLocked(); err != nil {
+		l.mu.Unlock()
+		return err
+	}
+	rec := &l.live[l.liveIdx(t.lsn)]
+	rec.loSeq, rec.maxSeq, rec.framed = seqLo, seqLo+uint64(t.to-t.from)-1, true
+	appendRecord(l.staging.Bytes(rec.soff, rec.size)[:0], l.epoch, rec.lsn, seqLo, t.to-t.from,
+		func(k int) (byte, []byte, []byte) { return ent(t.from + k) })
+	size := rec.size
+	l.cfg.Metrics.Appends.Inc()
+	l.cfg.Metrics.AppendBytes.Add(int64(size))
 	l.pumpLocked()
 	l.mu.Unlock()
-	if staged > 0 && l.cfg.Charge != nil {
-		l.cfg.Charge(staged)
+	if l.cfg.Charge != nil {
+		l.cfg.Charge(size)
 	}
-	return tok, err
+	return nil
+}
+
+// Stage is Reserve then Post, record by record, for a caller that already
+// holds its sequence numbers (entries [0,n) take seqLo onwards) and no
+// claim a flush could wait on. It returns the token of the last record.
+func (l *Log) Stage(seqLo uint64, n int, ent func(i int) (kind byte, key, value []byte)) (t Token, err error) {
+	for i := 0; i < n && err == nil; i = t.to {
+		if t, err = l.Reserve(i, n, ent); err == nil {
+			err = l.Post(t, seqLo+uint64(i), ent)
+		}
+	}
+	return t, err
 }
 
 // reserveLocked assigns the next LSN and claims its record's place in both
@@ -186,7 +209,6 @@ func (l *Log) reserveLocked(need int) (liveRec, error) {
 			stalledAt = l.env.Now()
 			l.cfg.Metrics.RingStalls.Inc()
 		}
-		l.pumpLocked() // what this stager already placed holds staging space until posted
 		if ringOK {
 			l.stageCond.Wait()
 			continue
@@ -197,13 +219,14 @@ func (l *Log) reserveLocked(need int) (liveRec, error) {
 	}
 }
 
-// Commit resolves a staged token. sync parks until the record — and every
+// Commit resolves a posted token. sync parks until the record — and every
 // record before it — is durable in the remote ring; async returns
 // immediately, only surfacing an already-broken log.
 func (l *Log) Commit(t Token, sync bool) error {
+	start := l.env.Now()
 	err := l.await(t.lsn, sync)
 	if err == nil && sync && t.lsn != 0 {
-		l.cfg.Metrics.CommitWait.Observe(int64(l.env.Now() - t.at))
+		l.cfg.Metrics.CommitPark.Observe(int64(l.env.Now() - start))
 	}
 	return err
 }
@@ -272,7 +295,11 @@ func (l *Log) pumpLocked() {
 		return
 	}
 	for l.posted < l.nextLSN-1 && len(l.inflight) < l.window {
-		d := l.postRun(l.qp, l.cfg.Slot, l.liveIdx(l.posted+1), len(l.live))
+		i := l.liveIdx(l.posted + 1)
+		if !l.live[i].framed {
+			break // reserved only: its writer's Post pumps again
+		}
+		d := l.postRun(l.qp, l.cfg.Slot, i, len(l.live))
 		if l.fenceWRs > 0 {
 			// Ownership fence, queued right behind the bytes it guards. If
 			// the lease moved while they were in flight, the new owner's
@@ -287,15 +314,15 @@ func (l *Log) pumpLocked() {
 }
 
 // postRun posts, over qp to the slot at base, the run that starts at
-// live[i]: the records before end that follow it contiguously in both
-// rings (at most maxRun), carried by one one-sided write — plus the pad
-// marker's when the run opens a new lap.
+// live[i]: the framed records before end that follow it contiguously in
+// both rings (at most maxRun), carried by one one-sided write — plus the
+// pad marker's when the run opens a new lap.
 func (l *Log) postRun(qp *rdma.QP, base rdma.RemoteAddr, i, end int) doorbell {
 	first, last := &l.live[i], &l.live[i]
 	d := doorbell{recs: 1, writes: 1, sfree: first.sfree}
 	for j := i + 1; j < end && d.recs < l.maxRun; j++ {
 		r := &l.live[j]
-		if r.off != last.off+last.size || r.soff != last.soff+last.size {
+		if !r.framed || r.off != last.off+last.size || r.soff != last.soff+last.size {
 			break
 		}
 		last = r
@@ -326,7 +353,12 @@ func (l *Log) completeLoop() {
 			l.doneCond.Wait()
 		}
 		if l.broken || len(l.inflight) == 0 {
-			return // closed with the window drained: everything staged is durable
+			// Closed with the window drained: everything posted is durable.
+			// A record still behind a reserved-only one never will be.
+			if l.posted < l.nextLSN-1 {
+				l.failLocked(ErrClosed)
+			}
+			return
 		}
 		batch = append(batch[:0], l.inflight...)
 		from := l.durableLSN + 1
@@ -384,12 +416,16 @@ func (l *Log) reap(batch []doorbell) (clean int, err error) {
 // the frontier moves over it, its staging bytes become reusable, its
 // writers wake, and the freed slots are refilled.
 func (l *Log) ackLocked(done []doorbell) {
+	now, last := l.env.Now(), done[len(done)-1].last
+	for _, r := range l.live[l.liveIdx(l.durableLSN+1) : l.liveIdx(last)+1] {
+		l.cfg.Metrics.CommitWait.Observe(int64(now - r.at))
+	}
 	for _, d := range done {
 		l.stage.used -= d.sfree
 		l.cfg.Metrics.Doorbells.Add(int64(d.writes))
 		l.cfg.Metrics.GroupRecords.Observe(int64(d.recs))
 	}
-	l.durableLSN = done[len(done)-1].last
+	l.durableLSN = last
 	l.inflight = l.inflight[:copy(l.inflight, l.inflight[len(done):])]
 	l.cfg.Metrics.Inflight.Add(-int64(len(done)))
 	l.attempts = 0

@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dlsm/internal/rdma"
 	"dlsm/internal/sim"
@@ -249,6 +251,63 @@ func TestCloseDrainsWindow(t *testing.T) {
 		_, _, recs, err := ParseImage(slotImage(srv, 82))
 		if err != nil || len(recs) != n {
 			t.Fatalf("ParseImage: %d records, err %v; want %d", len(recs), err, n)
+		}
+	})
+}
+
+// TestPumpStopsAtReservedRecord: a record that is reserved but not framed
+// holds back everything behind it — posting past it would let a later LSN
+// land, and acknowledge, above a hole. Its Post releases the lot as one
+// run. A reservation still open at Close strands the records behind it:
+// their sync waiters get ErrClosed instead of parking forever, and the
+// late Post is refused so its writer never applies the write.
+func TestPumpStopsAtReservedRecord(t *testing.T) {
+	walHarness(t, func(env *sim.Env, cn *rdma.Node, srv *logHost) {
+		tw := openTestWAL(t, env, cn, srv, 83, 256<<10, false)
+		l := tw.l
+		ent := func(int) (byte, []byte, []byte) { return 1, []byte("key"), []byte("value") }
+		reserve := func() Token {
+			tok, err := l.Reserve(0, 1, ent)
+			if err != nil {
+				t.Fatalf("Reserve: %v", err)
+			}
+			return tok
+		}
+		a, b := reserve(), reserve()
+		if err := l.Post(b, 2, ent); err != nil {
+			t.Fatalf("Post(b): %v", err)
+		}
+		env.Sleep(10 * time.Microsecond) // several round trips: anything posted would be durable by now
+		l.mu.Lock()
+		posted, durable := l.posted, l.durableLSN
+		l.mu.Unlock()
+		if posted != 0 || durable != 0 {
+			t.Fatalf("lsn %d framed behind reserved-only lsn %d: posted=%d durable=%d, want 0, 0", b.lsn, a.lsn, posted, durable)
+		}
+		if err := l.Post(a, 1, ent); err != nil {
+			t.Fatalf("Post(a): %v", err)
+		}
+		if err := l.Commit(b, true); err != nil {
+			t.Fatalf("Commit(b): %v", err)
+		}
+		if d, g := tw.m.Doorbells.Load(), tw.m.GroupRecords.Snapshot().Max; d != 1 || g != 2 {
+			t.Fatalf("%d doorbells, max run %d; want both records in one run", d, g)
+		}
+		_, _, recs, err := ParseImage(slotImage(srv, 83))
+		if err != nil || len(recs) != 2 || recs[0].SeqLo != 1 || recs[1].SeqLo != 2 {
+			t.Fatalf("ParseImage: %+v, err %v; want seqs 1, 2 in LSN order", recs, err)
+		}
+
+		c, d := reserve(), reserve()
+		if err := l.Post(d, 4, ent); err != nil {
+			t.Fatalf("Post(d): %v", err)
+		}
+		l.Close()
+		if err := l.Commit(d, true); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Commit behind a reservation open at Close = %v, want ErrClosed", err)
+		}
+		if err := l.Post(c, 3, ent); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Post after Close = %v, want ErrClosed", err)
 		}
 	})
 }

@@ -29,12 +29,13 @@ type View struct {
 // log breaks instead, the error is returned and the caller falls back to
 // shipping the memtable contents.
 //
-// A view can legitimately miss entries that were inserted into the
-// memtable but never staged (an ErrTooLarge append, or a writer between
-// its claim release and its Stage call, or parked in Stage on a full
-// ring); the flush protocol detects that by comparing the built table's
-// entry count against the memtable's and falls back, so ReplayView itself
-// makes no completeness promise.
+// A record that is reserved but not yet framed is invisible here. For a
+// flush that loses nothing: its writer either has no sequence numbers yet
+// — they will lie above any switched memtable's range — or holds them
+// under a claim, and the flush quiesce barrier waits claims out before it
+// asks for a view. The flush protocol still compares the built table's
+// entry count against the memtable's and falls back on a shortfall, so
+// ReplayView itself makes no completeness promise.
 func (l *Log) ReplayView(seqLo, seqHi uint64) (View, error) {
 	l.mu.Lock()
 	if err := l.unusableLocked(); err != nil {
@@ -44,7 +45,7 @@ func (l *Log) ReplayView(seqLo, seqHi uint64) (View, error) {
 	v := View{Epoch: l.epoch}
 	var last uint64
 	for _, r := range l.live {
-		if r.loSeq <= seqHi && r.maxSeq >= seqLo {
+		if r.framed && r.loSeq <= seqHi && r.maxSeq >= seqLo {
 			v.Records = append(v.Records, RecordLoc{Off: r.off, Size: r.size})
 			last = r.lsn
 		}

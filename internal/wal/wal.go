@@ -36,7 +36,8 @@ type Metrics struct {
 	RingStalls   *telemetry.Counter   // appends that waited for ring or staging space
 	RingStallNS  *telemetry.Counter   // virtual ns those appends spent waiting
 	Replayed     *telemetry.Counter   // entries re-applied by recovery
-	CommitWait   *telemetry.Histogram // virtual ns from Stage to durable, per sync record
+	CommitWait   *telemetry.Histogram // virtual ns from Reserve to durable, per record
+	CommitPark   *telemetry.Histogram // virtual ns a sync Commit spent parked
 	Inflight     *telemetry.Gauge     // doorbells posted and not yet reaped
 }
 
@@ -379,7 +380,7 @@ func (l *Log) DropMirror() {
 	l.mu.Unlock()
 }
 
-// Close drains the window (making every staged record durable if the
+// Close drains the window (making every posted record durable if the
 // fabric still works), stops the entities, and releases local resources.
 // It does not publish a final checkpoint: the slot stays exactly as durable as the
 // last acknowledged write, which is what Recover replays.
