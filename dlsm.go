@@ -12,7 +12,8 @@
 //
 //	d := dlsm.NewDeployment(dlsm.SingleNodeConfig())
 //	d.Run(func() {
-//		db := dlsm.Open(d, dlsm.DefaultOptions())
+//		db, err := dlsm.OpenDB(d, dlsm.RolePrimary, dlsm.Placement{}, dlsm.DefaultOptions())
+//		if err != nil { ... }
 //		defer db.Close()
 //		s := db.NewSession()
 //		defer s.Close()
@@ -56,7 +57,7 @@ type (
 // Durability selects how writes interact with the remote write-ahead log
 // (internal/wal): DurabilityNone (default) disables logging, DurabilityAsync
 // acknowledges before the log write lands, DurabilitySync acknowledges only
-// once the record is in remote memory — Recover then restores 100% of
+// once the record is in remote memory — RoleRecover then restores 100% of
 // acknowledged writes after a compute-node crash.
 type Durability = engine.Durability
 
@@ -70,7 +71,7 @@ const (
 // AckPolicy selects when replicated writes acknowledge
 // (Options.ReplAck, internal/repl): AckPrimary keeps the single-copy
 // behavior (best-effort mirror), AckQuorum and AckAll wait for the
-// replica too (they coincide at replication factor 2).
+// replica too (they coincide with one replica).
 type AckPolicy = repl.AckPolicy
 
 // Acknowledgement policies for Options.ReplAck.
@@ -102,6 +103,20 @@ var ErrClosed = engine.ErrClosed
 // ErrStalled is returned when a write stalled longer than
 // Options.StallTimeout (0 disables the timeout).
 var ErrStalled = engine.ErrStalled
+
+// ErrReadOnly is returned by writes through a read-only secondary.
+var ErrReadOnly = engine.ErrReadOnly
+
+// ErrFenced is returned by writes on a primary whose shard write lease was
+// taken over by another compute node (RoleTakeover): the write may be in
+// the remote log, but it was never acknowledged and the new primary's
+// recovery decides whether it survives. Treat like any failed write.
+var ErrFenced = engine.ErrFenced
+
+// ErrLeaseHeld is returned by OpenDB when a leased RolePrimary finds
+// another compute node holding a shard's write lease. Use RoleTakeover to
+// depose a dead holder.
+var ErrLeaseHeld = shard.ErrLeaseHeld
 
 // Compaction / transport / switch-policy selectors (see DESIGN.md).
 const (
@@ -200,57 +215,50 @@ type DB struct {
 	inner *shard.DB
 }
 
-// Open creates a DB on the deployment's first compute node backed by its
-// first memory node, with Lambda(opts)=1.
-//
-// Deprecated: use OpenDB(d, RolePrimary, Placement{}, opts).
-func Open(d *Deployment, opts Options) *DB {
-	return mustOpen(OpenDB(d, RolePrimary, Placement{}, opts))
-}
+// Role and Placement are OpenDB's two structural arguments; internal/shard,
+// which runs the open path, documents them field by field.
+type (
+	// Role selects what OpenDB opens: a fresh read-write primary, a
+	// read-only secondary of Placement.Owner's shard group, a takeover of
+	// its write leases, or its recovery from the remote logs.
+	Role = shard.Role
+	// Placement names where the DB runs (ComputeIdx), whose log slots and
+	// leases it adopts (Owner — the owner-remap rule: a recovered DB keeps
+	// logging under Owner, never under its own ComputeIdx), the memory
+	// nodes its shards round-robin across (Servers), the shard geometry
+	// (Lambda, Boundaries) and whether a primary holds write leases (Lease).
+	Placement = shard.Placement
+)
 
-// OpenSharded creates a λ-sharded DB (§VII) on the first compute node.
-// boundaries are the λ-1 ascending user-key split points.
-//
-// Deprecated: use OpenDB(d, RolePrimary, Placement{Lambda: λ, Boundaries: b}, opts).
-func OpenSharded(d *Deployment, opts Options, lambda int, boundaries [][]byte) *DB {
-	return mustOpen(OpenDB(d, RolePrimary, Placement{Lambda: lambda, Boundaries: boundaries}, opts))
-}
+// Roles for OpenDB.
+const (
+	RolePrimary   = shard.RolePrimary
+	RoleSecondary = shard.RoleSecondary
+	RoleTakeover  = shard.RoleTakeover
+	RoleRecover   = shard.RoleRecover
+)
 
-// OpenAt creates a DB on compute node computeIdx whose shards round-robin
-// across servers (§IX).
-//
-// Deprecated: use OpenDB with RolePrimary and an explicit Placement.
-func OpenAt(d *Deployment, computeIdx int, servers []*memnode.Server, opts Options, lambda int, boundaries [][]byte) *DB {
-	return mustOpen(OpenDB(d, RolePrimary,
-		Placement{ComputeIdx: computeIdx, Servers: servers, Lambda: lambda, Boundaries: boundaries}, opts))
-}
-
-// Recover rebuilds the DB a crashed compute node ran via Open, replaying
-// its remote write-ahead logs (§VIII). opts must have Durability set and
-// otherwise match the dead DB's Open.
-//
-// Deprecated: use OpenDB(d, RoleRecover, Placement{}, opts).
-func Recover(d *Deployment, opts Options) (*DB, error) {
-	return OpenDB(d, RoleRecover, Placement{}, opts)
-}
-
-// RecoverSharded rebuilds a λ-sharded DB opened with OpenSharded on the
-// first compute node.
-//
-// Deprecated: use OpenDB(d, RoleRecover, Placement{Lambda: λ, Boundaries: b}, opts).
-func RecoverSharded(d *Deployment, opts Options, lambda int, boundaries [][]byte) (*DB, error) {
-	return OpenDB(d, RoleRecover, Placement{Lambda: lambda, Boundaries: boundaries}, opts)
-}
-
-// RecoverAt rebuilds, on compute node computeIdx, the DB that compute
-// node owner opened with OpenAt(d, owner, servers, ...) before crashing.
-// servers, opts, lambda and boundaries must match that OpenAt call. See
-// Placement for the owner-remap rule.
-//
-// Deprecated: use OpenDB with RoleRecover and an explicit Placement.
-func RecoverAt(d *Deployment, computeIdx, owner int, servers []*memnode.Server, opts Options, lambda int, boundaries [][]byte) (*DB, error) {
-	return OpenDB(d, RoleRecover,
-		Placement{ComputeIdx: computeIdx, Owner: owner, Servers: servers, Lambda: lambda, Boundaries: boundaries}, opts)
+// OpenDB opens, recovers, takes over, or attaches to a dLSM index — the
+// one constructor. The Role picks the protocol (a fresh read-write DB, a
+// read-only secondary, a lease takeover, a crash recovery), the Placement
+// picks the compute node, the memory nodes, the shard geometry and the
+// identity under which log slots and shard leases are bound (nil
+// Placement.Servers means every memory node of d), and opts configures
+// each shard's engine. Combinations that cannot mean anything — a lease on
+// a secondary, an offload layer without the flush offload under it, an ack
+// policy with no replica — are errors, not ignored.
+func OpenDB(d *Deployment, role Role, p Placement, opts Options) (*DB, error) {
+	if p.Servers == nil {
+		p.Servers = d.Servers
+	}
+	if p.ComputeIdx < 0 || p.ComputeIdx >= len(d.Compute) {
+		return nil, fmt.Errorf("dlsm: placement names compute node %d of a %d-node deployment", p.ComputeIdx, len(d.Compute))
+	}
+	inner, err := shard.Open(d.Compute[p.ComputeIdx], role, p, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &DB{inner: inner}, nil
 }
 
 // UniformBoundaries splits a formatted integer key space into lambda equal
@@ -323,6 +331,17 @@ func (db *DB) Migrate(key []byte, server int) error {
 	rt := db.inner
 	return rt.MigrateShard(rt.ShardID(rt.Route(key)), server)
 }
+
+// RefreshView re-reads every shard's WAL checkpoint slot on a read-only
+// secondary and installs the primary's latest published view. Errors on
+// primaries.
+func (db *DB) RefreshView() error { return db.inner.RefreshView() }
+
+// PublishCheckpoint synchronously publishes every shard's checkpoint on a
+// primary (the background trimmer does the same after each flush). Call it
+// after Flush to make all flushed writes observable by secondaries' next
+// RefreshView. Errors when Durability is off.
+func (db *DB) PublishCheckpoint() error { return db.inner.PublishCheckpoint() }
 
 // Close stops background work and releases engine resources.
 func (db *DB) Close() { db.inner.Close() }

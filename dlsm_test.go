@@ -5,13 +5,24 @@ import (
 	"math/rand"
 	"testing"
 
+	"dlsm/internal/shard"
 	"dlsm/internal/sim"
 )
+
+// mustOpenDB is OpenDB for placements that cannot fail to open.
+func mustOpenDB(t *testing.T, d *Deployment, role Role, p Placement, opts Options) *DB {
+	t.Helper()
+	db, err := OpenDB(d, role, p, opts)
+	if err != nil {
+		t.Fatalf("OpenDB(%v): %v", role, err)
+	}
+	return db
+}
 
 func TestPublicAPIQuickstart(t *testing.T) {
 	d := NewDeployment(SingleNodeConfig())
 	d.Run(func() {
-		db := Open(d, DefaultOptions())
+		db := mustOpenDB(t, d, RolePrimary, Placement{}, DefaultOptions())
 		defer db.Close()
 		s := db.NewSession()
 		defer s.Close()
@@ -38,7 +49,7 @@ func TestShardedDBRoutesAndScans(t *testing.T) {
 		opts.MemTableSize = 32 << 10
 		opts.TableSize = 32 << 10
 		opts.EntrySizeHint = 64
-		db := OpenSharded(d, opts, lambda, UniformBoundaries(lambda, n, format))
+		db := mustOpenDB(t, d, RolePrimary, Placement{Lambda: lambda, Boundaries: UniformBoundaries(lambda, n, format)}, opts)
 		defer db.Close()
 		if db.Lambda() != lambda {
 			t.Fatalf("Lambda = %d", db.Lambda())
@@ -92,23 +103,24 @@ func TestClusterMultiComputeMultiMemory(t *testing.T) {
 	d.Run(func() {
 		format := func(i int) []byte { return []byte(fmt.Sprintf("key-%08d", i)) }
 		total := c * perNode
-		var nodeBounds [][]byte
-		for i := 1; i < c; i++ {
-			nodeBounds = append(nodeBounds, format(total*i/c))
-		}
 		opts := DefaultOptions()
 		opts.MemTableSize = 32 << 10
 		opts.TableSize = 32 << 10
 		opts.EntrySizeHint = 64
-		cl := OpenCluster(d, opts, lambda, nodeBounds, func(node int) [][]byte {
+		// §IX: one DB per compute node over its own contiguous key slice,
+		// the c·λ shards dealt round-robin over the memory nodes.
+		var cl []*DB
+		for node := 0; node < c; node++ {
 			lo, hi := total*node/c, total*(node+1)/c
 			var b [][]byte
 			for j := 1; j < lambda; j++ {
 				b = append(b, format(lo+(hi-lo)*j/lambda))
 			}
-			return b
-		})
-		defer cl.Close()
+			db := mustOpenDB(t, d, RolePrimary, Placement{ComputeIdx: node,
+				Servers: shard.ClusterServers(d.Servers, node, lambda), Lambda: lambda, Boundaries: b}, opts)
+			defer db.Close()
+			cl = append(cl, db)
+		}
 
 		// One driver entity per compute node writes its own key slice.
 		wg := sim.NewWaitGroup(d.Env)
@@ -117,7 +129,7 @@ func TestClusterMultiComputeMultiMemory(t *testing.T) {
 			wg.Add(1)
 			d.Env.Go(func() {
 				defer wg.Done()
-				s := cl.Compute(node).NewSession()
+				s := cl[node].NewSession()
 				defer s.Close()
 				lo := total * node / c
 				for i := 0; i < perNode; i++ {

@@ -12,7 +12,10 @@ func ExampleBatch() {
 	d := dlsm.NewDeployment(dlsm.SingleNodeConfig())
 	defer d.Close()
 	d.Run(func() {
-		db := dlsm.Open(d, dlsm.DefaultOptions())
+		db, err := dlsm.OpenDB(d, dlsm.RolePrimary, dlsm.Placement{}, dlsm.DefaultOptions())
+		if err != nil {
+			panic(err)
+		}
 		defer db.Close()
 		s := db.NewSession()
 		defer s.Close()
@@ -29,7 +32,7 @@ func ExampleBatch() {
 
 		v, _ := s.Get([]byte("key-042"))
 		fmt.Println(string(v))
-		_, err := s.Get([]byte("key-007"))
+		_, err = s.Get([]byte("key-007"))
 		fmt.Println(err == dlsm.ErrNotFound)
 	})
 	// Output:
@@ -45,7 +48,10 @@ func ExampleReadOptions() {
 	d.Run(func() {
 		opts := dlsm.DefaultOptions()
 		opts.CacheBudgetBytes = 16 << 20 // hot-KV cache on the compute node
-		db := dlsm.Open(d, opts)
+		db, err := dlsm.OpenDB(d, dlsm.RolePrimary, dlsm.Placement{}, opts)
+		if err != nil {
+			panic(err)
+		}
 		defer db.Close()
 		s := db.NewSession()
 		defer s.Close()

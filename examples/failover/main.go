@@ -1,12 +1,12 @@
 // Failover: surviving the loss of a MEMORY node. Durability alone
 // (examples/recovery) survives a compute-node crash because the log and the
 // SSTables live in remote memory — but that remote memory was a single
-// copy. With Options.ReplicationFactor = 2 every durable artifact is
-// mirrored onto a second memory node: WAL records land in both rings before
+// copy. With Options.Replica set every durable artifact is mirrored onto
+// that second memory node: WAL records land in both rings before
 // Put acknowledges (AckQuorum), flushed and compacted SSTable extents are
 // cloned primary→replica, the checkpoint slot pair flips on both nodes, and
 // the shard lease word is written through. When the primary memory node
-// dies, RecoverAt pointed at the replica promotes it — zero acknowledged
+// dies, RoleRecover pointed at the replica promotes it — zero acknowledged
 // writes lost, including writes that never left the MemTable+log.
 package main
 
@@ -27,8 +27,7 @@ func main() {
 		opts.Durability = dlsm.DurabilitySync
 		opts.MemTableSize = 256 << 10 // small, so flushes exercise the table mirror
 		opts.TableSize = 256 << 10
-		opts.ReplicationFactor = 2
-		opts.Replica = d.Servers[1]
+		opts.Replica = d.Servers[1]        // replication is on exactly when a replica is named
 		opts.ReplAck = dlsm.AckQuorum      // ack only once BOTH rings hold the record
 		opts.ReplMode = dlsm.ReplIndexOnly // primary clones extents straight to the replica
 
@@ -63,8 +62,7 @@ func main() {
 		// replica-side extent copies, and the ring holds every record the
 		// quorum ever acknowledged. Replication is off on the promoted side
 		// (its peer is the node that just died).
-		opts.ReplicationFactor = 0
-		opts.Replica = nil
+		opts.Replica, opts.ReplAck, opts.ReplMode = nil, dlsm.AckPrimary, dlsm.ReplIndexOnly
 		db2, err := dlsm.OpenDB(d, dlsm.RoleRecover,
 			dlsm.Placement{ComputeIdx: 1, Owner: 0, Servers: d.Servers[1:2]}, opts)
 		if err != nil {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"dlsm"
+	"dlsm/internal/shard"
 	"dlsm/internal/sim"
 )
 
@@ -34,20 +35,24 @@ func main() {
 		total := computeNodes * keysPerCompute
 		format := func(i int) []byte { return []byte(fmt.Sprintf("key-%016d", i)) }
 
-		var nodeBounds [][]byte
-		for i := 1; i < computeNodes; i++ {
-			nodeBounds = append(nodeBounds, format(total*i/computeNodes))
+		// One DB per compute node over its own key slice; the c·λ shard
+		// LSM-trees are dealt round-robin over the memory nodes.
+		var cl []*dlsm.DB
+		for node := 0; node < computeNodes; node++ {
+			lo, hi := total*node/computeNodes, total*(node+1)/computeNodes
+			var b [][]byte
+			for j := 1; j < lambda; j++ {
+				b = append(b, format(lo+(hi-lo)*j/lambda))
+			}
+			db, err := dlsm.OpenDB(d, dlsm.RolePrimary, dlsm.Placement{ComputeIdx: node,
+				Servers: shard.ClusterServers(d.Servers, node, lambda), Lambda: lambda, Boundaries: b},
+				dlsm.DefaultOptions())
+			if err != nil {
+				panic(err)
+			}
+			defer db.Close()
+			cl = append(cl, db)
 		}
-		cl := dlsm.OpenCluster(d, dlsm.DefaultOptions(), lambda, nodeBounds,
-			func(node int) [][]byte {
-				lo, hi := total*node/computeNodes, total*(node+1)/computeNodes
-				var b [][]byte
-				for j := 1; j < lambda; j++ {
-					b = append(b, format(lo+(hi-lo)*j/lambda))
-				}
-				return b
-			})
-		defer cl.Close()
 
 		// Fill: every compute node's drivers write its own slice.
 		start := d.Env.Now()
@@ -59,7 +64,7 @@ func main() {
 				wg.Add(1)
 				d.Env.Go(func() {
 					defer wg.Done()
-					s := cl.Compute(node).NewSession()
+					s := cl[node].NewSession()
 					defer s.Close()
 					lo := total * node / computeNodes
 					for i := t; i < keysPerCompute; i += threadsPerNode {
@@ -79,7 +84,7 @@ func main() {
 
 		// Verify a sample from each node.
 		for node := 0; node < computeNodes; node++ {
-			s := cl.Compute(node).NewSession()
+			s := cl[node].NewSession()
 			lo := total * node / computeNodes
 			if _, err := s.Get(format(lo + keysPerCompute/2)); err != nil {
 				panic(fmt.Sprintf("node %d lost a key: %v", node, err))

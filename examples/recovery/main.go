@@ -2,7 +2,7 @@
 // log. With Options.Durability = DurabilitySync every acknowledged write
 // has its log record in remote memory — placed there by a one-sided RDMA
 // write, no memory-node CPU — before Put returns. When the compute node
-// dies, a standby calls dlsm.RecoverAt: the log slot is read back, the
+// dies, a standby opens with dlsm.RoleRecover: the log slot is read back, the
 // embedded checkpoint rebuilds the table metadata, and every record past
 // the checkpoint horizon is re-applied. Nothing acknowledged is lost, not
 // even writes still sitting in the MemTable at the moment of the crash.

@@ -5,7 +5,7 @@ import (
 	"runtime/debug"
 	"time"
 
-	"dlsm/internal/memnode"
+	"dlsm/internal/shard"
 	"dlsm/internal/sim"
 )
 
@@ -33,13 +33,9 @@ func runCluster(cfg Config, kind opKind, preload bool) ClusterResult {
 		dbs := make([]kvDB, c)
 		for i := 0; i < c; i++ {
 			lo, hi := cfg.KeyRange*i/c, cfg.KeyRange*(i+1)/c
-			// Rotate the server list so compute i's shards start on a
-			// different memory node (round-robin placement, Fig 5).
-			rotated := make([]*memnode.Server, len(servers))
-			for j := range servers {
-				rotated[j] = servers[(i*lambda+j)%len(servers)]
-			}
-			dbs[i] = openSystemRange(cfg.System, cfg, cns[i], rotated, lo, hi)
+			// Compute i's shards start on a different memory node
+			// (round-robin placement, Fig 5).
+			dbs[i] = openSystemRange(cfg.System, cfg, cns[i], shard.ClusterServers(servers, i, lambda), lo, hi)
 		}
 
 		if preload {

@@ -31,9 +31,10 @@ func ScaleoutPoint(n, computes, threadsPerNode int) Result {
 		for j := 1; j < lambda; j++ {
 			bounds = append(bounds, cfg.Key(cfg.KeyRange*j/lambda))
 		}
-		opts := engineOptions(DLSM, cfg, lambda)
+		opts := engineOptions(DLSM, cfg, lambda, nil)
 
-		primary, err := shard.NewPrimary(cns[0], servers, lambda, bounds, opts, 0)
+		place := shard.Placement{Servers: servers, Lambda: lambda, Boundaries: bounds, Lease: true}
+		primary, err := shard.Open(cns[0], shard.RolePrimary, place, opts)
 		if err != nil {
 			panic(fmt.Sprintf("bench: scaleout primary: %v", err))
 		}
@@ -47,7 +48,8 @@ func ScaleoutPoint(n, computes, threadsPerNode int) Result {
 
 		dbs := []kvDB{pdb}
 		for i := 1; i < computes; i++ {
-			sec, err := shard.OpenSecondary(cns[i], servers, lambda, bounds, opts)
+			place.ComputeIdx, place.Lease = i, false
+			sec, err := shard.Open(cns[i], shard.RoleSecondary, place, opts)
 			if err != nil {
 				panic(fmt.Sprintf("bench: scaleout secondary %d: %v", i, err))
 			}

@@ -80,8 +80,9 @@ type kvDB interface {
 }
 
 // engineOptions builds the engine configuration for an LSM system.
-// lambda > 1 divides the background worker budget across shards.
-func engineOptions(sys System, cfg Config, lambda int) engine.Options {
+// lambda > 1 divides the background worker budget across shards; a non-nil
+// replica turns replication on.
+func engineOptions(sys System, cfg Config, lambda int, replica *memnode.Server) engine.Options {
 	o := engine.DLSM()
 	// The write buffer and table budget is global; each shard gets its
 	// slice so total memory use is lambda-independent.
@@ -131,11 +132,11 @@ func engineOptions(sys System, cfg Config, lambda int) engine.Options {
 	o.OffloadFlush = cfg.OffloadFlush
 	o.OffloadIndexBuild = cfg.OffloadIndexBuild
 	o.OffloadFilter = cfg.OffloadFilter
-	// Replication (FigRepl sweep): quorum ack across two copies; the
-	// replica server itself is attached by openSystemRange, which
-	// dedicates the last memory node to the backup role.
-	if cfg.ReplicationFactor > 1 {
-		o.ReplicationFactor = cfg.ReplicationFactor
+	// Replication (FigRepl sweep): quorum ack across the two copies, the
+	// second on the memory node openSystemRange dedicates to the backup
+	// role.
+	if replica != nil {
+		o.Replica = replica
 		o.ReplAck = repl.AckQuorum
 		if cfg.ReplMode == "log" {
 			o.ReplMode = repl.LogReplay
@@ -230,9 +231,7 @@ func openSystemRange(sys System, cfg Config, cn *rdma.Node, servers []*memnode.S
 	for j := 1; j < lambda; j++ {
 		bounds = append(bounds, cfg.Key(lo+(hi-lo)*j/lambda))
 	}
-	opts := engineOptions(sys, cfg, lambda)
-	opts.Replica = replica
-	db, err := shard.New(cn, primaries, lambda, bounds, opts)
+	db, err := shard.New(cn, primaries, lambda, bounds, engineOptions(sys, cfg, lambda, replica))
 	if err != nil {
 		panic(err) // bench geometries are derived, never user input
 	}

@@ -30,7 +30,7 @@ type bgWorker struct {
 
 func (db *DB) newBGWorker() *bgWorker {
 	w := &bgWorker{db: db, qp: db.cn.NewQP(db.mn)}
-	w.pipeline = flush.NewPipeline(w.qp, db.opts.FlushBufSize)
+	w.pipeline = flush.NewPipeline(w.qp, flushBufSize)
 	w.pipeline.SetMetrics(db.m.flush)
 	return w
 }
@@ -101,7 +101,7 @@ func (db *DB) flushOne(w *bgWorker, mt *memtable.MemTable) {
 	// filter is ~10 bits/key.
 	capacity := mt.ApproximateSize() + mt.KeyBytes() + int64(mt.Len())*24 + 8<<10
 	var meta *sstable.Meta
-	offload := db.offloadEnabled()
+	offload := db.opts.OffloadFlush
 	for attempt := 1; ; attempt++ {
 		var m *sstable.Meta
 		var err error
@@ -121,7 +121,7 @@ func (db *DB) flushOne(w *bgWorker, mt *memtable.MemTable) {
 			m, err = db.buildFlushTable(w, mt, capacity)
 		}
 		if err == nil {
-			// Replicate before install (no-op at ReplicationFactor 1): a
+			// Replicate before install (no-op without a replica): a
 			// checkpoint may name this table the moment it publishes, so its
 			// replica copy must exist first. On failure the extent is
 			// returned and the whole build retries.
@@ -249,7 +249,7 @@ func (db *DB) pickParams() version.PickParams {
 	return version.PickParams{
 		L0Trigger:  db.opts.L0CompactTrigger,
 		L1MaxBytes: db.opts.L1MaxBytes,
-		Multiplier: db.opts.LevelMultiplier,
+		Multiplier: 10, // each level holds ten times the one above
 	}
 }
 
@@ -310,7 +310,7 @@ func (db *DB) runCompaction(w *bgWorker, c *version.Compaction) {
 	}
 	if err == nil {
 		// Replicate the outputs before the install makes them reachable
-		// (no-op at ReplicationFactor 1). On failure attachOutputs has
+		// (no-op without a replica). On failure attachOutputs has
 		// already routed both-side extents to the GC worker.
 		err = db.attachOutputs(outputs)
 	}
@@ -397,19 +397,37 @@ func (db *DB) compactRemote(w *bgWorker, c *version.Compaction) ([]*sstable.Meta
 	m0 := args.Inputs[0]
 	args.JobID = sim.Mix64(uint64(db.env.Seed()), uint64(db.cn.ID),
 		db.instanceID, uint64(m0.ID), uint64(m0.Data.Off), m0.MaxSeq) | 1
+	return db.remoteJob(w, "compact", args.JobID, memnode.EncodeCompactArgs(args), replyMax, nil)
+}
+
+// remoteJob is the one ladder both near-data builds ("compact",
+// "flush_build") climb: size the reply region for the metas coming back,
+// call under the CompactRPC retry policy — args carry the stable jobID, so
+// the memory node dedupes redelivery — decode the outputs, let accept (if
+// any) check and finish them, and stamp file ids. On any failure the job
+// is cancelled: best effort, if it is still running (or finishes later)
+// the cancel frees its unclaimed outputs and tombstones the id against
+// late redelivery. The caller then falls back to the compute-local build.
+func (db *DB) remoteJob(w *bgWorker, method string, jobID uint64, args []byte, replyMax int,
+	accept func([]*sstable.Meta) error) (outputs []*sstable.Meta, err error) {
+	defer func() {
+		if err != nil {
+			db.cancelRemoteJob(w, jobID)
+		}
+	}()
 	cli := w.largeClient()
 	cli.GrowReply(replyMax)
-	reply, err := cli.CallLargePolicy("compact", memnode.EncodeCompactArgs(args), db.opts.CompactRPC)
+	reply, err := cli.CallLargePolicy(method, args, db.opts.CompactRPC)
 	if err != nil {
-		// Give up on the remote job. Best effort: if the merge is still
-		// running (or finishes later), the cancel frees its unclaimed
-		// outputs and tombstones the id against late redelivery.
-		db.cancelRemoteJob(w, args.JobID)
 		return nil, err
 	}
-	outputs, err := memnode.DecodeMetas(reply)
-	if err != nil {
+	if outputs, err = memnode.DecodeMetas(reply); err != nil {
 		return nil, err
+	}
+	if accept != nil {
+		if err = accept(outputs); err != nil {
+			return nil, err
+		}
 	}
 	for _, m := range outputs {
 		m.ID = db.vs.NextFileID()
@@ -417,7 +435,7 @@ func (db *DB) compactRemote(w *bgWorker, c *version.Compaction) ([]*sstable.Meta
 	return outputs, nil
 }
 
-// cancelRemoteJob tells the memory node to drop a compaction job the engine
+// cancelRemoteJob tells the memory node to drop a remote job the engine
 // gave up on. Best effort with a short retry budget: if the service is down
 // the cancel itself times out and the job's outputs leak until the next
 // cancel or restart.
@@ -496,7 +514,7 @@ func (db *DB) runLocalSubcompaction(c *version.Compaction, inputMetas []*sstable
 		}
 	}()
 	sub := &bgWorker{db: db, qp: qp}
-	sub.pipeline = flush.NewPipeline(qp, db.opts.FlushBufSize)
+	sub.pipeline = flush.NewPipeline(qp, flushBufSize)
 	sub.pipeline.SetMetrics(db.m.flush)
 
 	inputs := make([]compactor.Input, 0, len(inputMetas))
@@ -548,13 +566,14 @@ func (db *DB) runLocalSubcompaction(c *version.Compaction, inputMetas []*sstable
 // locally (the allocator metadata lives here); memory-node-created extents
 // batch into "free" RPCs; tmpfs files batch into "fs_free".
 func (db *DB) gcWorker() {
+	const gcBatch = 8 // remote frees grouped per "free" RPC (§V-B)
 	cli := rpc.NewClient(db.cn, db.mn, nil, 1<<20)
 	defer cli.Close()
 	var remoteFrees [][2]int64
 	var fsFrees []uint64
 
 	flushBatches := func(force bool) {
-		if len(remoteFrees) > 0 && (force || len(remoteFrees) >= db.opts.GCBatch) {
+		if len(remoteFrees) > 0 && (force || len(remoteFrees) >= gcBatch) {
 			if _, err := cli.CallPolicy("free", memnode.EncodeFrees(remoteFrees), db.opts.FreeRPC); err != nil {
 				// Retries exhausted: drop the batch rather than wedge the
 				// GC worker. The extents leak on the memory node until its
@@ -565,7 +584,7 @@ func (db *DB) gcWorker() {
 			}
 			remoteFrees = remoteFrees[:0]
 		}
-		if len(fsFrees) > 0 && (force || len(fsFrees) >= db.opts.GCBatch) {
+		if len(fsFrees) > 0 && (force || len(fsFrees) >= gcBatch) {
 			args := make([]byte, 4, 4+8*len(fsFrees))
 			putU32(args, uint32(len(fsFrees)))
 			for _, id := range fsFrees {

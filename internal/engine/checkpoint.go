@@ -52,12 +52,12 @@ func encodeCheckpointAt(v *version.Version, seq uint64, slim bool) []byte {
 // checkpoint taken before the previous compute node went away. The memory
 // node server (and the table bytes in its regions) must be the ones the
 // checkpoint refers to.
-func OpenFromCheckpoint(cn *rdma.Node, srv *memnode.Server, opts Options, checkpoint []byte) (*DB, error) {
+func OpenFromCheckpoint(cn *rdma.Node, srv *memnode.Server, opts Options, b Binding, checkpoint []byte) (*DB, error) {
 	files, seq, err := decodeCheckpoint(checkpoint)
 	if err != nil {
 		return nil, err
 	}
-	db, err := TryOpen(cn, srv, opts)
+	db, err := Open(cn, srv, opts, b)
 	if err != nil {
 		return nil, err
 	}

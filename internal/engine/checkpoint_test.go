@@ -22,7 +22,7 @@ func TestCheckpointRebuildAfterComputeLoss(t *testing.T) {
 
 	env.Run(func() {
 		const n = 3000
-		db := Open(cn1, srv, smallOpts())
+		db := mustOpen(cn1, srv, smallOpts())
 		s := db.NewSession()
 		for i := 0; i < n; i++ {
 			s.Put(key(i), value(i))
@@ -34,7 +34,7 @@ func TestCheckpointRebuildAfterComputeLoss(t *testing.T) {
 		db.Close() // "crash": the compute node goes away; remote memory survives
 
 		// A fresh compute node rebuilds the index from the checkpoint.
-		db2, err := OpenFromCheckpoint(cn2, srv, smallOpts(), cp)
+		db2, err := OpenFromCheckpoint(cn2, srv, smallOpts(), Binding{}, cp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestCheckpointDecodeErrors(t *testing.T) {
 	srv.Start()
 	env.Run(func() {
 		for _, junk := range [][]byte{nil, {1, 2, 3}, make([]byte, 9)} {
-			if _, err := OpenFromCheckpoint(cn, srv, smallOpts(), junk); err == nil {
+			if _, err := OpenFromCheckpoint(cn, srv, smallOpts(), Binding{}, junk); err == nil {
 				t.Fatalf("OpenFromCheckpoint(%d junk bytes) succeeded", len(junk))
 			}
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -32,6 +33,7 @@ type DB struct {
 
 	env  *sim.Env
 	opts Options
+	bind Binding
 	cn   *rdma.Node
 	mn   *rdma.Node
 	srv  *memnode.Server
@@ -90,7 +92,7 @@ type DB struct {
 	walLive atomic.Bool
 
 	// mirror replicates SSTable extents onto the backup memory node; nil
-	// unless ReplicationFactor is 2 (internal/repl).
+	// unless Options.Replica is set (internal/repl).
 	mirror *repl.Mirror
 
 	// readOnly marks a secondary attachment (OpenSecondary): no WAL, no
@@ -101,22 +103,12 @@ type DB struct {
 }
 
 // Open creates a DB on compute node cn backed by the memory node server
-// srv, panicking where TryOpen returns an error.
-func Open(cn *rdma.Node, srv *memnode.Server, opts Options) *DB {
-	db, err := TryOpen(cn, srv, opts)
-	if err != nil {
-		panic(err)
-	}
-	return db
-}
-
-// TryOpen creates a DB on compute node cn backed by the memory node
-// server srv. The server must already be started. With Durability enabled
-// it stamps a fresh epoch on the DB's remote log slot (creating it on
-// demand); a slot that cannot be set up — one more shard's WALSize than
-// the memory node's log region has room for, say — is the error.
-func TryOpen(cn *rdma.Node, srv *memnode.Server, opts Options) (*DB, error) {
-	return openMode(cn, srv, opts, false, false)
+// srv, which must already be started. With Durability enabled it stamps a
+// fresh epoch on the log slot b names (creating it on demand); a slot that
+// cannot be set up — one more shard's WALSize than the memory node's log
+// region has room for, say — is the error.
+func Open(cn *rdma.Node, srv *memnode.Server, opts Options, b Binding) (*DB, error) {
+	return openMode(cn, srv, opts, b, false, false)
 }
 
 // openMode is the shared constructor. walRecovering attaches to the
@@ -127,13 +119,20 @@ func TryOpen(cn *rdma.Node, srv *memnode.Server, opts Options) (*DB, error) {
 // but no write-side machinery starts: no WAL, and zero flush, compaction
 // or GC workers (a secondary must never flush into, compact, or free the
 // remote extents the shard's primary owns).
-func openMode(cn *rdma.Node, srv *memnode.Server, opts Options, walRecovering, readOnly bool) (*DB, error) {
+func openMode(cn *rdma.Node, srv *memnode.Server, opts Options, b Binding, walRecovering, readOnly bool) (*DB, error) {
 	opts = opts.withDefaults()
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	if opts.Replica == srv {
+		return nil, fmt.Errorf("engine: Options.Replica must be a different memory node than the primary")
+	}
 	env := cn.Fabric().Env()
 	db := &DB{
 		instanceID: dbInstanceSeq.Add(1),
 		env:        env,
 		opts:       opts,
+		bind:       b,
 		readOnly:   readOnly,
 		cn:         cn,
 		mn:         srv.Node(),
@@ -185,10 +184,8 @@ func openMode(cn *rdma.Node, srv *memnode.Server, opts Options, walRecovering, r
 		return db, nil
 	}
 
-	if opts.ReplicationFactor > 1 {
-		if err := db.openMirror(); err != nil {
-			return nil, err
-		}
+	if opts.Replica != nil {
+		db.openMirror()
 	}
 
 	if opts.Durability != DurabilityNone {

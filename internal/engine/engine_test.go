@@ -26,6 +26,16 @@ func smallOpts() Options {
 	return o
 }
 
+// mustOpen is Open under the zero Binding, for configurations that cannot
+// fail to open.
+func mustOpen(cn *rdma.Node, srv *memnode.Server, opts Options) *DB {
+	db, err := Open(cn, srv, opts, Binding{})
+	if err != nil {
+		panic(err)
+	}
+	return db
+}
+
 // harness runs fn inside a fresh simulated deployment and tears it down.
 func harness(t *testing.T, opts Options, fn func(env *sim.Env, db *DB)) {
 	t.Helper()
@@ -39,7 +49,7 @@ func harness(t *testing.T, opts Options, fn func(env *sim.Env, db *DB)) {
 	srv := memnode.NewServer(mn, cfg)
 	srv.Start()
 	env.Run(func() {
-		db := Open(cn, srv, opts)
+		db := mustOpen(cn, srv, opts)
 		fn(env, db)
 		db.Close()
 		fab.Close()
@@ -385,7 +395,7 @@ func TestRemoteCompactionMovesNoTableBytes(t *testing.T) {
 	srv := memnode.NewServer(mn, cfg)
 	srv.Start()
 	env.Run(func() {
-		db := Open(cn, srv, smallOpts())
+		db := mustOpen(cn, srv, smallOpts())
 		s := db.NewSession()
 		for i := 0; i < 8000; i++ {
 			s.Put(key(i), value(i))

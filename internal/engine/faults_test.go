@@ -64,7 +64,7 @@ func runServiceOutage(t *testing.T, seed int64) outageResult {
 	const n = 6000
 	var res outageResult
 	env.Run(func() {
-		db := Open(cn, srv, faultOpts())
+		db := mustOpen(cn, srv, faultOpts())
 		s := db.NewSession()
 		for i := 0; i < n; i++ {
 			s.Put(key(i), value(i))
@@ -144,7 +144,7 @@ func TestLinkFlapDuringFlushDrainsPipeline(t *testing.T) {
 
 	const n = 4000
 	env.Run(func() {
-		db := Open(cn, srv, faultOpts())
+		db := mustOpen(cn, srv, faultOpts())
 		s := db.NewSession()
 		for i := 0; i < n; i++ {
 			s.Put(key(i), value(i)) // memtable-only: no fabric traffic yet

@@ -1,12 +1,11 @@
 package engine
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"dlsm/internal/keys"
 	"dlsm/internal/rdma"
-	"dlsm/internal/rpc"
+	"dlsm/internal/repl"
 	"dlsm/internal/sstable"
 	"dlsm/internal/version"
 	"dlsm/internal/wal"
@@ -28,13 +27,8 @@ import (
 //	m.Close()                          // or m.Abort() on any failure
 type Migration struct {
 	src, dst *DB
-
-	cli     *rpc.Client // compute→source-server, repl_clone requests
-	qpSrc   *rdma.QP    // compute-mediated fallback (self-region tables)
-	qpDst   *rdma.QP
-	scratch *rdma.MemoryRegion
-
-	cloned map[uint64]cloneEntry // by sstable.Meta.ID
+	ship     *repl.Shipper         // source-server→destination-server extent transfer
+	cloned   map[uint64]cloneEntry // by sstable.Meta.ID
 }
 
 // cloneEntry records one table's destination copy.
@@ -57,7 +51,11 @@ func StartMigration(src, dst *DB) *Migration {
 	if src.mn == dst.mn {
 		return nil
 	}
-	return &Migration{src: src, dst: dst, cloned: map[uint64]cloneEntry{}}
+	return &Migration{
+		src: src, dst: dst,
+		ship:   repl.NewShipper(src.cn, src.mn, dst.mn, src.opts.CompactRPC),
+		cloned: map[uint64]cloneEntry{},
+	}
 }
 
 // CloneLive clones every table in the source's current version that has
@@ -94,55 +92,15 @@ func (m *Migration) cloneTable(meta *sstable.Meta) error {
 	}
 	dst := m.dst.dataMR.Addr(int(off))
 	if meta.Data.RKey == m.src.dataMR.RKey() {
-		err = m.cloneViaServer(meta, dst, n)
+		err = m.ship.Clone(meta.Data, dst, n)
 	} else {
-		err = m.copyViaCompute(meta, dst, n)
+		err = m.ship.Copy(meta.Data, dst, n)
 	}
 	if err != nil {
 		m.dst.alloc.Free(off, int(meta.Extent))
-		return err
+		return fmt.Errorf("engine: migrate: %w", err)
 	}
 	m.cloned[meta.ID] = cloneEntry{off: off, extent: meta.Extent, addr: dst}
-	return nil
-}
-
-// cloneViaServer asks the source memory node to chain-write the extent to
-// the destination node (the repl_clone verb, idempotent on retry).
-func (m *Migration) cloneViaServer(meta *sstable.Meta, dst rdma.RemoteAddr, n int) error {
-	if m.cli == nil {
-		m.cli = rpc.NewClient(m.src.cn, m.src.mn, nil, 4096)
-	}
-	var args [32]byte
-	binary.LittleEndian.PutUint64(args[0:], uint64(meta.Data.Off))
-	binary.LittleEndian.PutUint64(args[8:], uint64(n))
-	binary.LittleEndian.PutUint32(args[16:], uint32(dst.Node))
-	binary.LittleEndian.PutUint32(args[20:], dst.RKey)
-	binary.LittleEndian.PutUint64(args[24:], uint64(dst.Off))
-	if _, err := m.cli.CallPolicy("repl_clone", args[:], m.src.opts.CompactRPC); err != nil {
-		return fmt.Errorf("engine: migrate repl_clone: %w", err)
-	}
-	return nil
-}
-
-// copyViaCompute reads the extent back to the compute node and writes it
-// out to the destination (2n wire bytes) — the repl.LogReplay shape.
-func (m *Migration) copyViaCompute(meta *sstable.Meta, dst rdma.RemoteAddr, n int) error {
-	if m.qpSrc == nil {
-		m.qpSrc = m.src.cn.NewQP(m.src.mn)
-		m.qpDst = m.src.cn.NewQP(m.dst.mn)
-	}
-	if m.scratch == nil || m.scratch.Size() < n {
-		if m.scratch != nil {
-			m.src.cn.Deregister(m.scratch)
-		}
-		m.scratch = m.src.cn.Register(n)
-	}
-	if err := m.qpSrc.ReadSync(m.scratch, 0, meta.Data, n); err != nil {
-		return fmt.Errorf("engine: migrate read-back: %w", err)
-	}
-	if err := m.qpDst.WriteSync(m.scratch, 0, dst, n); err != nil {
-		return fmt.Errorf("engine: migrate write-out: %w", err)
-	}
 	return nil
 }
 
@@ -228,21 +186,4 @@ func (m *Migration) Abort() {
 }
 
 // Close releases the migration's transport resources only.
-func (m *Migration) Close() {
-	if m.cli != nil {
-		m.cli.Close()
-		m.cli = nil
-	}
-	if m.qpSrc != nil {
-		m.qpSrc.Close()
-		m.qpSrc = nil
-	}
-	if m.qpDst != nil {
-		m.qpDst.Close()
-		m.qpDst = nil
-	}
-	if m.scratch != nil {
-		m.src.cn.Deregister(m.scratch)
-		m.scratch = nil
-	}
-}
+func (m *Migration) Close() { m.ship.Close() }

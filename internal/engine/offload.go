@@ -11,14 +11,6 @@ import (
 	"dlsm/internal/sstable"
 )
 
-// offloadEnabled reports whether flush builds go to the memory node
-// (three-layer write-path offloading, DESIGN.md §11). Only the native
-// transport has the flush_build service; the FS and tmpfs ports keep
-// their compute-side flush paths.
-func (db *DB) offloadEnabled() bool {
-	return db.opts.OffloadFlush && db.opts.Transport == TransportNative
-}
-
 // flushRemote offloads one MemTable flush to the memory node: a
 // flush_build RPC has it serialize the table into its self-controlled
 // area and build the footer sections selected by OffloadIndexBuild /
@@ -40,7 +32,7 @@ func (db *DB) flushRemote(w *bgWorker, mt *memtable.MemTable, capacity int64) (*
 		// the headroom part is exactly what compute-built sections need.
 		FooterReserve: capacity - mt.ApproximateSize(),
 		BuildIndex:    db.opts.OffloadIndexBuild,
-		BuildFilter:   db.opts.OffloadFilter && db.opts.BitsPerKey > 0,
+		BuildFilter:   db.opts.OffloadFilter,
 	}
 	// A stable nonzero job id, so the memory node dedupes retried
 	// deliveries (same contract as "compact"). instanceID disambiguates
@@ -58,7 +50,7 @@ func (db *DB) flushRemote(w *bgWorker, mt *memtable.MemTable, capacity int64) (*
 		// still ship inline.
 		if v, err := db.wal.ReplayView(uint64(lo), uint64(hi)-1); err == nil && len(v.Records) > 0 {
 			args.Replay = &memnode.FlushReplay{
-				LogKey:  walSlotKey(db.opts),
+				LogKey:  db.bind.SlotKey(),
 				Epoch:   v.Epoch,
 				SeqLo:   uint64(lo),
 				SeqHi:   uint64(hi) - 1,
@@ -71,49 +63,35 @@ func (db *DB) flushRemote(w *bgWorker, mt *memtable.MemTable, capacity int64) (*
 		args.Entries = db.encodeMemtableEntries(mt)
 	}
 
-	cli := w.largeClient()
-	cli.GrowReply(int(args.FooterReserve) + metaSlack) // one meta: its index and filter fit the footer headroom
-	reply, err := cli.CallLargePolicy("flush_build",
-		memnode.EncodeFlushBuildArgs(args), db.opts.CompactRPC)
+	// One meta comes back: its index and filter fit the footer headroom.
+	outputs, err := db.remoteJob(w, "flush_build", args.JobID, memnode.EncodeFlushBuildArgs(args),
+		int(args.FooterReserve)+metaSlack, func(outputs []*sstable.Meta) error {
+			if len(outputs) != 1 {
+				return fmt.Errorf("engine: flush_build returned %d tables", len(outputs))
+			}
+			if m := outputs[0]; m.Count != mt.Len() {
+				// Every logged entry is posted to the ring before its claim
+				// clears and the quiesce barrier above waited those claims
+				// out, so the view is complete by construction. Entry
+				// sequences are unique and range-filtered: the built count
+				// can only fall short, and equality certifies that the
+				// memory node parsed every record it was shown. On a
+				// shortfall the remote table is dropped and the caller
+				// falls back to the compute-local build.
+				return fmt.Errorf("engine: offloaded flush built %d of %d entries", m.Count, mt.Len())
+			}
+			return db.completeFooter(w, mt, outputs[0], args)
+		})
 	if err != nil {
-		// Give up on the remote build. Best effort: if the job is still
-		// running (or finishes later), the cancel frees its extent and
-		// tombstones the id against late redelivery.
-		db.cancelRemoteJob(w, args.JobID)
 		return nil, err
 	}
-	outputs, err := memnode.DecodeMetas(reply)
-	if err == nil && len(outputs) != 1 {
-		err = fmt.Errorf("engine: flush_build returned %d tables", len(outputs))
-	}
-	if err != nil {
-		db.cancelRemoteJob(w, args.JobID)
-		return nil, err
-	}
-	m := outputs[0]
-	if m.Count != mt.Len() {
-		// Every logged entry is posted to the ring before its claim clears
-		// and the quiesce barrier above waited those claims out, so the
-		// view is complete by construction. Entry sequences are unique and
-		// range-filtered: the built count can only fall short, and equality
-		// certifies that the memory node parsed every record it was shown.
-		// On a shortfall drop the remote table and let the caller fall
-		// back to the compute-local build.
-		db.cancelRemoteJob(w, args.JobID)
-		return nil, fmt.Errorf("engine: offloaded flush built %d of %d entries", m.Count, mt.Len())
-	}
-	if err := db.completeFooter(w, mt, m, args); err != nil {
-		db.cancelRemoteJob(w, args.JobID)
-		return nil, err
-	}
-	m.ID = db.vs.NextFileID()
 	db.stats.OffloadedFlushes.Add(1)
 	if args.Replay != nil {
 		db.stats.OffloadReplays.Add(1)
 	} else {
 		db.stats.OffloadInline.Add(1)
 	}
-	return m, nil
+	return outputs[0], nil
 }
 
 // encodeMemtableEntries frames mt's entries for contents-mode shipping

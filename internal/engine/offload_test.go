@@ -55,7 +55,7 @@ func buildTables(t *testing.T, opts Options, n int) []tableSig {
 	srv.Start()
 	var sigs []tableSig
 	env.Run(func() {
-		db := Open(cn, srv, opts)
+		db := mustOpen(cn, srv, opts)
 		s := db.NewSession()
 		perm := rand.New(rand.NewSource(99)).Perm(n)
 		for _, i := range perm {
@@ -185,7 +185,7 @@ func TestOffloadFlushWALReplay(t *testing.T) {
 	var sigs []tableSig
 	var replays, inline int64
 	env.Run(func() {
-		db := Open(cn, srv, opts)
+		db := mustOpen(cn, srv, opts)
 		s := db.NewSession()
 		perm := rand.New(rand.NewSource(99)).Perm(n)
 		for _, i := range perm {
@@ -270,7 +270,7 @@ func runOffloadOutage(t *testing.T, seed int64) offloadOutageResult {
 	const n = 6000
 	var res offloadOutageResult
 	env.Run(func() {
-		db := Open(cn, srv, offloadFaultOpts())
+		db := mustOpen(cn, srv, offloadFaultOpts())
 		s := db.NewSession()
 		for i := 0; i < n/2; i++ {
 			s.Put(key(i), value(i))
@@ -363,7 +363,7 @@ func computeBusy(t *testing.T, offload bool) sim.Duration {
 	srv.Start()
 	var busy sim.Duration
 	env.Run(func() {
-		db := Open(cn, srv, opts)
+		db := mustOpen(cn, srv, opts)
 		s := db.NewSession()
 		start := env.Now()
 		cn.CPU.ResetStats()

@@ -12,10 +12,10 @@
 package engine
 
 import (
+	"fmt"
 	"time"
 
 	"dlsm/internal/memnode"
-	"dlsm/internal/rdma"
 	"dlsm/internal/repl"
 	"dlsm/internal/rpc"
 	"dlsm/internal/sim"
@@ -31,7 +31,7 @@ const (
 	SwitchSeqRange SwitchPolicy = iota
 	// SwitchLocked is the conventional design: writers serialize sequence
 	// assignment and the full-table check through a global write mutex,
-	// paying SyncOverhead of CPU inside the critical section.
+	// paying syncOverhead of CPU inside the critical section.
 	SwitchLocked
 )
 
@@ -83,7 +83,7 @@ const (
 type Options struct {
 	Format     sstable.Format
 	BlockSize  int // Block format target block size
-	BitsPerKey int // bloom filter bits per key (0 disables)
+	BitsPerKey int // bloom filter bits per key (0 means the default 10; negative disables)
 
 	MemTableSize  int64 // switch threshold
 	EntrySizeHint int   // expected bytes/entry, sizes the seq range
@@ -91,9 +91,7 @@ type Options struct {
 
 	L0CompactTrigger int // files in L0 triggering compaction
 	L0StopTrigger    int // files in L0 stalling writers; <=0 means never (bulkload)
-	MaxImmutables    int // immutable MemTables before writers stall
 	L1MaxBytes       int64
-	LevelMultiplier  int64
 
 	FlushWorkers      int
 	CompactionWorkers int
@@ -103,7 +101,6 @@ type Options struct {
 	CompactionSite CompactionSite
 	Transport      Transport
 	AsyncFlush     bool // overlap serialization with RDMA writes (§X-C)
-	FlushBufSize   int
 
 	// OffloadFlush pushes MemTable flushes to the memory node (three-layer
 	// write-path offloading, DESIGN.md §11): a flush_build RPC has it
@@ -112,18 +109,18 @@ type Options struct {
 	// bytes on the network), else from memtable contents shipped inline.
 	// False — the default — keeps the compute-side flush path
 	// byte-identical to builds that predate offloading. Requires the
-	// native transport (other transports ignore it); on exhausted RPC
-	// retries the flush falls back to the compute-local build.
+	// native transport, the only one with a flush_build service; on
+	// exhausted RPC retries the flush falls back to the compute-local build.
 	OffloadFlush bool
 
 	// OffloadIndexBuild additionally builds the block index on the memory
 	// node during an offloaded flush; otherwise the compute node
 	// constructs it and one-sided-writes it into the extent's reserved
-	// footer space. Only meaningful with OffloadFlush.
+	// footer space. Requires OffloadFlush.
 	OffloadIndexBuild bool
 
-	// OffloadFilter likewise offloads bloom-filter construction. Only
-	// meaningful with OffloadFlush and BitsPerKey > 0.
+	// OffloadFilter likewise offloads bloom-filter construction. Requires
+	// OffloadFlush and a bloom filter to build (BitsPerKey > 0).
 	OffloadFilter bool
 
 	PrefetchBytes int // range-scan read-ahead
@@ -158,45 +155,26 @@ type Options struct {
 	// durability ablation (fig wal).
 	WALPerWriteCommit bool
 
-	// WALOwner and WALShard name this DB's log slot on the memory node
-	// (owner = logical compute index, shard = shard index). Every live DB
-	// with Durability enabled must use a distinct (owner, shard) pair per
-	// memory node; Recover uses the same pair to find the slot again.
-	WALOwner int
-	WALShard int
-
-	// WALFence and WALFenceWord wire the shard's ownership lease
-	// (internal/lease) into the log's commit path: each doorbell
-	// acknowledges only after a one-sided CAS verifies the remote word at
-	// WALFence still reads WALFenceWord, so a lease takeover rejects the
-	// deposed owner's in-flight appends with ErrFenced. Set by the lease
-	// layer (shard.NewPrimary/Takeover); the zero default disables fencing
-	// and keeps the historical single-owner layout byte-identical.
-	WALFence     rdma.RemoteAddr
-	WALFenceWord uint64
-
-	// ReplicationFactor is how many memory nodes hold every durable
-	// artifact of this DB. 0 and 1 — the default — keep today's
-	// single-copy layout and allocate nothing extra. 2 mirrors the WAL
-	// ring, checkpoint slots and SSTable extents onto Replica
-	// (internal/repl); higher factors are not yet supported. Requires
-	// Durability on and the native transport.
-	ReplicationFactor int
-
-	// Replica is the backup memory node mirrored onto when
-	// ReplicationFactor is 2. It must be a different server than the
-	// primary. No LSM runs there: the replica is passive registered
-	// memory receiving chained one-sided writes.
+	// Replica is the backup memory node: set, every durable artifact of
+	// this DB — the WAL ring, checkpoint slots, SSTable extents and the
+	// shard lease word — is mirrored onto it (internal/repl); nil — the
+	// default — keeps the single-copy layout and allocates nothing extra.
+	// It must be a different server than the primary, and needs
+	// Durability on and the native transport. No LSM runs there: the
+	// replica is passive registered memory receiving chained one-sided
+	// writes.
 	Replica *memnode.Server
 
 	// ReplAck selects when a replicated write acknowledges: AckPrimary
 	// (the default) keeps today's ack point and mirrors best-effort;
-	// AckQuorum/AckAll ack only after the replica copy is durable too.
+	// AckQuorum/AckAll ack only after the replica copy is durable too
+	// (they require Replica).
 	ReplAck repl.AckPolicy
 
 	// ReplMode selects how SSTable bytes reach the replica: IndexOnly
 	// (the default) ships built extents primary→replica; LogReplay
-	// models a backup that rebuilds tables from its log copy.
+	// models a backup that rebuilds tables from its log copy (it
+	// requires Replica).
 	ReplMode repl.Mode
 
 	// ReplTornHook, when set, runs after the replica checkpoint header
@@ -221,10 +199,6 @@ type Options struct {
 	// Consumed by the shard layer alongside AutoBalance.
 	BalanceInterval time.Duration
 
-	// SyncOverhead is CPU charged inside the global write lock under
-	// SwitchLocked — the synchronization cost dLSM eliminates (§IV).
-	SyncOverhead time.Duration
-
 	// WritePathExtra is additional per-write CPU charged outside any lock,
 	// modeling the deeper write-path software stack of the ported systems
 	// (writer groups, format framing) that dLSM's lean path avoids (§IV).
@@ -232,9 +206,6 @@ type Options struct {
 
 	// ReplyBufSize bounds compaction RPC replies (new tables' metadata).
 	ReplyBufSize int
-
-	// GCBatch groups this many remote frees per "free" RPC (§V-B).
-	GCBatch int
 
 	// CompactRPC governs deadlines and retries of the near-data compaction
 	// RPC. Retries are safe: each call carries a job id the memory node
@@ -263,9 +234,7 @@ func DLSM() Options {
 		TableSize:         4 << 20,
 		L0CompactTrigger:  4,
 		L0StopTrigger:     36,
-		MaxImmutables:     16,
 		L1MaxBytes:        32 << 20,
-		LevelMultiplier:   10,
 		FlushWorkers:      4,
 		CompactionWorkers: 12,
 		Subcompactions:    12,
@@ -273,12 +242,9 @@ func DLSM() Options {
 		CompactionSite:    CompactNearData,
 		Transport:         TransportNative,
 		AsyncFlush:        true,
-		FlushBufSize:      1 << 20,
 		PrefetchBytes:     2 << 20,
 		PrefetchDepth:     2,
-		SyncOverhead:      450 * time.Nanosecond,
 		ReplyBufSize:      16 << 20,
-		GCBatch:           8,
 		CompactRPC: rpc.Policy{
 			Timeout:     2 * time.Second,
 			MaxAttempts: 3,
@@ -315,14 +281,8 @@ func (o Options) withDefaults() Options {
 	if o.L0CompactTrigger == 0 {
 		o.L0CompactTrigger = d.L0CompactTrigger
 	}
-	if o.MaxImmutables == 0 {
-		o.MaxImmutables = d.MaxImmutables
-	}
 	if o.L1MaxBytes == 0 {
 		o.L1MaxBytes = d.L1MaxBytes
-	}
-	if o.LevelMultiplier == 0 {
-		o.LevelMultiplier = d.LevelMultiplier
 	}
 	if o.FlushWorkers == 0 {
 		o.FlushWorkers = d.FlushWorkers
@@ -333,23 +293,14 @@ func (o Options) withDefaults() Options {
 	if o.Subcompactions == 0 {
 		o.Subcompactions = d.Subcompactions
 	}
-	if o.FlushBufSize == 0 {
-		o.FlushBufSize = d.FlushBufSize
-	}
 	if o.PrefetchBytes == 0 {
 		o.PrefetchBytes = d.PrefetchBytes
 	}
 	if o.PrefetchDepth == 0 {
 		o.PrefetchDepth = d.PrefetchDepth
 	}
-	if o.SyncOverhead == 0 {
-		o.SyncOverhead = d.SyncOverhead
-	}
 	if o.ReplyBufSize == 0 {
 		o.ReplyBufSize = d.ReplyBufSize
-	}
-	if o.GCBatch == 0 {
-		o.GCBatch = d.GCBatch
 	}
 	if o.CompactRPC == (rpc.Policy{}) {
 		o.CompactRPC = d.CompactRPC
@@ -377,4 +328,32 @@ func (o Options) withDefaults() Options {
 		o.L0CompactTrigger = o.L0StopTrigger
 	}
 	return o
+}
+
+// Validate rejects the option combinations one half of which the engine
+// would otherwise silently drop; every error names both fields. The open
+// path calls it after withDefaults.
+func (o Options) Validate() error {
+	requires := func(a, b string) error {
+		return fmt.Errorf("engine: Options.%s requires Options.%s", a, b)
+	}
+	switch {
+	case o.OffloadIndexBuild && !o.OffloadFlush:
+		return requires("OffloadIndexBuild", "OffloadFlush")
+	case o.OffloadFilter && !o.OffloadFlush:
+		return requires("OffloadFilter", "OffloadFlush")
+	case o.OffloadFilter && o.BitsPerKey <= 0:
+		return requires("OffloadFilter", "BitsPerKey > 0 (there is no bloom filter to build)")
+	case o.OffloadFlush && o.Transport != TransportNative:
+		return requires("OffloadFlush", "Transport = TransportNative (the only one with a flush_build service)")
+	case o.ReplAck.Sync() && o.Replica == nil:
+		return requires("ReplAck = "+o.ReplAck.String(), "Replica (there is no second copy to wait for)")
+	case o.ReplMode != repl.IndexOnly && o.Replica == nil:
+		return requires("ReplMode = "+o.ReplMode.String(), "Replica (nothing is shipped)")
+	case o.Replica != nil && o.Durability == DurabilityNone:
+		return requires("Replica", "Durability (nothing durable to mirror otherwise)")
+	case o.Replica != nil && o.Transport != TransportNative:
+		return requires("Replica", "Transport = TransportNative (extents are mirrored server to server)")
+	}
+	return nil
 }

@@ -13,67 +13,91 @@ import (
 	"dlsm/internal/wal"
 )
 
+// loadedSlot is a log slot's image brought to the compute node: the
+// header, the surviving ring records, and the decoded checkpoint (table
+// metas by level plus the sequence horizon). qp is still connected to the
+// slot's memory node; the caller closes it or keeps it.
+type loadedSlot struct {
+	slot  memnode.LogSlot
+	qp    *rdma.QP
+	h     wal.Header
+	recs  []wal.Record
+	files [version.NumLevels][]*sstable.Meta
+	seq   uint64
+}
+
+// loadSlot is the one way a log slot is read back: find the slot b names
+// on srv, copy its image with one one-sided read, parse it and decode its
+// checkpoint. footers additionally restores the checkpoint tables' cached
+// indexes and bloom filters from their footers in remote memory, which a
+// caller about to serve reads from them needs.
+func loadSlot(cn *rdma.Node, srv *memnode.Server, b Binding, footers bool) (ld loadedSlot, err error) {
+	var ok bool
+	if ld.slot, ok = srv.FindLog(b.SlotKey()); !ok {
+		return ld, fmt.Errorf("engine: no log slot for owner %d shard %d on %s (only a DB opened with Options.Durability leaves one)", b.Owner, b.Shard, srv.Node().Name)
+	}
+	ld.qp = cn.NewQP(srv.Node())
+	defer func() {
+		if err != nil {
+			ld.qp.Close()
+		}
+	}()
+	img, err := readSlotImage(cn, ld.qp, ld.slot)
+	if err != nil {
+		return ld, fmt.Errorf("engine: reading log slot: %w", err)
+	}
+	var blob []byte
+	if ld.h, blob, ld.recs, err = wal.ParseImage(img); err != nil {
+		return ld, fmt.Errorf("engine: parsing log slot: %w", err)
+	}
+	if len(blob) > 0 {
+		if ld.files, ld.seq, err = decodeCheckpoint(blob); err != nil {
+			return ld, fmt.Errorf("engine: log checkpoint: %w", err)
+		}
+	}
+	if footers {
+		if err = reloadFooters(cn, ld.qp, ld.files); err != nil {
+			return ld, fmt.Errorf("engine: reloading table footers: %w", err)
+		}
+	}
+	return ld, nil
+}
+
 // Recover rebuilds a DB on a fresh compute node from the remote
-// write-ahead log the crashed one left behind (§VIII). opts must name the
-// same (WALOwner, WALShard) — and sizing-relevant options — the dead DB
-// used. The slot image is read back with one-sided verbs, its checkpoint
-// installs the table metadata (indexes and filters reload from the table
-// footers in remote memory), and every surviving log record above the
-// checkpoint's covered horizon is re-applied in original sequence order.
-// In Sync mode that restores 100% of acknowledged writes: a record
-// missing past the torn tail was never durable, so its write was never
-// acknowledged. The log then switches to a fresh epoch and the DB is
-// live, logging again.
-func Recover(cn *rdma.Node, srv *memnode.Server, opts Options) (*DB, error) {
-	opts = opts.withDefaults()
+// write-ahead log the crashed one left behind (§VIII). b must name the
+// slot — and opts the sizing-relevant options — the dead DB used. The slot
+// image is read back with one-sided verbs, its checkpoint installs the
+// table metadata (indexes and filters reload from the table footers in
+// remote memory), and every surviving log record above the checkpoint's
+// covered horizon is re-applied in original sequence order. In Sync mode
+// that restores 100% of acknowledged writes: a record missing past the
+// torn tail was never durable, so its write was never acknowledged. The
+// log then switches to a fresh epoch and the DB is live, logging again.
+func Recover(cn *rdma.Node, srv *memnode.Server, opts Options, b Binding) (*DB, error) {
 	if opts.Durability == DurabilityNone {
 		return nil, fmt.Errorf("engine: Recover requires Options.Durability")
 	}
-	slot, ok := srv.FindLog(walSlotKey(opts))
-	if !ok {
-		return nil, fmt.Errorf("engine: no log slot for owner %d shard %d", opts.WALOwner, opts.WALShard)
-	}
-
-	qp := cn.NewQP(srv.Node())
-	img, err := readSlotImage(cn, qp, slot)
+	ld, err := loadSlot(cn, srv, b, true)
 	if err != nil {
-		qp.Close()
-		return nil, fmt.Errorf("engine: reading log slot: %w", err)
+		return nil, err
 	}
-	h, blob, recs, err := wal.ParseImage(img)
-	if err != nil {
-		qp.Close()
-		return nil, fmt.Errorf("engine: parsing log slot: %w", err)
-	}
-	var files [version.NumLevels][]*sstable.Meta
-	var seq uint64
-	if len(blob) > 0 {
-		if files, seq, err = decodeCheckpoint(blob); err != nil {
-			qp.Close()
-			return nil, fmt.Errorf("engine: log checkpoint: %w", err)
-		}
-	}
-	err = reloadFooters(cn, qp, files)
-	qp.Close()
-	if err != nil {
-		return nil, fmt.Errorf("engine: reloading table footers: %w", err)
-	}
+	ld.qp.Close()
 
 	// Open with the log in recovery mode: the slot stays untouched until
 	// FinishRecovery, so a crash during replay re-runs recovery against
 	// the identical surviving state.
-	db, err := openMode(cn, srv, opts, true, false)
+	db, err := openMode(cn, srv, opts, b, true, false)
 	if err != nil {
 		return nil, err
 	}
-	db.installCheckpoint(files, seq)
+	db.installCheckpoint(ld.files, ld.seq)
 
 	// With replication still on, rebuild the mirror's table map from the
 	// replica checkpoint slot and re-copy anything missing, so every
 	// installed table translates when FinishRecovery publishes on both
 	// slots.
 	if db.mirror != nil {
-		if err := db.seedMirror(files); err != nil {
+		if err := db.seedMirror(ld.files); err != nil {
 			db.Close()
 			return nil, fmt.Errorf("engine: seeding replica mirror: %w", err)
 		}
@@ -84,9 +108,9 @@ func Recover(cn *rdma.Node, srv *memnode.Server, opts Options) (*DB, error) {
 	// duplicate a flushed-but-not-yet-covered table's entries, which is
 	// harmless — the replay re-asserts the same value at a newer sequence.
 	var entries []wal.Entry
-	for _, r := range recs {
+	for _, r := range ld.recs {
 		for _, e := range r.Entries {
-			if e.Seq > h.Covered {
+			if e.Seq > ld.h.Covered {
 				entries = append(entries, e)
 			}
 		}

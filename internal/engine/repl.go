@@ -2,35 +2,17 @@ package engine
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"dlsm/internal/repl"
 	"dlsm/internal/sstable"
 	"dlsm/internal/version"
-	"dlsm/internal/wal"
 )
 
-// openMirror validates the replication options and creates the SSTable
-// mirror (internal/repl). Called from openMode before the WAL opens, so the
-// log's checkpoint translation can consult the mirror from its first
-// refresh.
-func (db *DB) openMirror() error {
+// openMirror creates the SSTable mirror (internal/repl). Called from
+// openMode before the WAL opens, so the log's checkpoint translation can
+// consult the mirror from its first refresh.
+func (db *DB) openMirror() {
 	opts := &db.opts
-	if opts.ReplicationFactor > 2 {
-		return fmt.Errorf("engine: ReplicationFactor %d not supported (max 2)", opts.ReplicationFactor)
-	}
-	if opts.Replica == nil {
-		return fmt.Errorf("engine: ReplicationFactor 2 requires Options.Replica")
-	}
-	if opts.Replica == db.srv {
-		return fmt.Errorf("engine: replica must be a different memory node than the primary")
-	}
-	if opts.Durability == DurabilityNone {
-		return fmt.Errorf("engine: replication requires Durability (nothing durable to mirror otherwise)")
-	}
-	if opts.Transport != TransportNative {
-		return fmt.Errorf("engine: replication requires the native transport")
-	}
 	db.mirror = repl.NewMirror(repl.Config{
 		Compute: db.cn,
 		Primary: db.srv,
@@ -44,11 +26,10 @@ func (db *DB) openMirror() error {
 		// log keeps truncating against the primary copy alone.
 		OnDegrade: func() { db.wal.DropMirror() },
 	})
-	return nil
 }
 
 // attachMirror replicates a freshly built table before it is installed. A
-// nil error with ReplicationFactor 1 is the common fast path. Under a Sync
+// nil error without a replica is the common fast path. Under a Sync
 // ack policy a failure is returned and the caller still owns the primary
 // extent; under AckPrimary the mirror degrades and the table stays
 // single-copy.
@@ -149,21 +130,13 @@ func encodeCheckpointFiles(files [version.NumLevels][]*sstable.Meta, seq uint64,
 // torn publish, or one the replica slot never saw. After healing, every
 // installed table translates, so FinishRecovery can publish on both slots.
 func (db *DB) seedMirror(files [version.NumLevels][]*sstable.Meta) error {
-	if rslot, ok := db.opts.Replica.FindLog(walSlotKey(db.opts)); ok {
-		qp := db.cn.NewQP(db.opts.Replica.Node())
-		img, err := readSlotImage(db.cn, qp, rslot)
-		qp.Close()
-		if err == nil {
-			if _, rblob, _, perr := wal.ParseImage(img); perr == nil && len(rblob) > 0 {
-				if rfiles, _, derr := decodeCheckpoint(rblob); derr == nil {
-					var metas []*sstable.Meta
-					for _, lvl := range rfiles {
-						metas = append(metas, lvl...)
-					}
-					db.mirror.Seed(metas)
-				}
-			}
+	if ld, err := loadSlot(db.cn, db.opts.Replica, db.bind, false); err == nil {
+		ld.qp.Close()
+		var metas []*sstable.Meta
+		for _, lvl := range ld.files {
+			metas = append(metas, lvl...)
 		}
+		db.mirror.Seed(metas)
 	}
 	for _, lvl := range files {
 		for _, m := range lvl {

@@ -36,62 +36,34 @@ type secondaryState struct {
 }
 
 // OpenSecondary attaches a read-only secondary to the shard whose primary
-// opened its log slot with the same (WALOwner, WALShard) and Durability
-// enabled. The secondary serves Gets and scans directly from the remote
-// SSTables through its own compute-local state — version set, hot-KV
-// cache, readahead pipelines — and never writes: no WAL, no flush or
-// compaction workers, no GC (the primary owns the remote extents).
+// opened the log slot b names with Durability enabled. The secondary
+// serves Gets and scans directly from the remote SSTables through its own
+// compute-local state — version set, hot-KV cache, readahead pipelines —
+// and never writes: no WAL, no flush or compaction workers, no GC (the
+// primary owns the remote extents).
 //
 // The view is the primary's last published WAL checkpoint, refreshed on
 // demand (RefreshView) or per read (ReadOptions.MaxStaleness): bounded
 // staleness, not read-your-writes. Writes become visible here once the
 // primary flushes them into tables a checkpoint covers (Flush +
 // PublishCheckpoint forces that synchronously).
-func OpenSecondary(cn *rdma.Node, srv *memnode.Server, opts Options) (*DB, error) {
-	// Resolve the slot identity BEFORE forcing Durability off: the key is
-	// derived from opts, and a secondary must find the primary's slot, not
-	// create one.
-	slot, ok := srv.FindLog(walSlotKey(opts))
-	if !ok {
-		return nil, fmt.Errorf("engine: no log slot for owner %d shard %d (secondaries need a primary with Options.Durability)", opts.WALOwner, opts.WALShard)
+func OpenSecondary(cn *rdma.Node, srv *memnode.Server, opts Options, b Binding) (*DB, error) {
+	ld, err := loadSlot(cn, srv, b, true)
+	if err != nil {
+		return nil, err
 	}
-	opts.Durability = DurabilityNone // secondaries never log
-
+	slot, qp := ld.slot, ld.qp
 	ckptCap, _, _, err := wal.Geometry(slot.Size)
 	if err != nil {
+		qp.Close()
 		return nil, fmt.Errorf("engine: log slot geometry: %w", err)
 	}
-
-	qp := cn.NewQP(srv.Node())
-	img, err := readSlotImage(cn, qp, slot)
-	if err != nil {
-		qp.Close()
-		return nil, fmt.Errorf("engine: reading log slot: %w", err)
-	}
-	_, blob, _, err := wal.ParseImage(img)
-	if err != nil {
-		qp.Close()
-		return nil, fmt.Errorf("engine: parsing log slot: %w", err)
-	}
-	var files [version.NumLevels][]*sstable.Meta
-	var seq uint64
-	if len(blob) > 0 {
-		if files, seq, err = decodeCheckpoint(blob); err != nil {
-			qp.Close()
-			return nil, fmt.Errorf("engine: log checkpoint: %w", err)
-		}
-	}
-	if err := reloadFooters(cn, qp, files); err != nil {
-		qp.Close()
-		return nil, fmt.Errorf("engine: reloading table footers: %w", err)
-	}
-
-	db, err := openMode(cn, srv, opts, false, true)
+	db, err := openMode(cn, srv, opts, b, false, true)
 	if err != nil {
 		qp.Close()
 		return nil, err
 	}
-	db.installCheckpoint(files, seq)
+	db.installCheckpoint(ld.files, ld.seq)
 
 	sec := &secondaryState{
 		slot:    slot,

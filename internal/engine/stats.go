@@ -42,7 +42,7 @@ type Stats struct {
 	Stalls       *telemetry.Counter
 	StallTime    *telemetry.Counter // virtual ns
 	StallL0Time  *telemetry.Counter // stalled on level0_stop_writes_trigger
-	StallImmTime *telemetry.Counter // stalled on MaxImmutables (flush backlog)
+	StallImmTime *telemetry.Counter // stalled on maxImmutables (flush backlog)
 
 	TablesFreed    *telemetry.Counter
 	RemoteFreeRPCs *telemetry.Counter

@@ -37,6 +37,10 @@ func (db *DB) newTableDest(capacity int64) (rdma.RemoteAddr, error) {
 	return db.dataMR.Addr(int(off)), nil
 }
 
+// flushBufSize is the registered staging buffer of every table sink: the
+// flush pipeline's per-buffer size and the synchronous sinks' write unit.
+const flushBufSize = 1 << 20
+
 // newSink creates the byte sink that writes a table to dest using the
 // worker's thread-local resources.
 func (db *DB) newSink(w *bgWorker, dest rdma.RemoteAddr, capacity int64) sstable.Sink {
@@ -46,7 +50,7 @@ func (db *DB) newSink(w *bgWorker, dest rdma.RemoteAddr, capacity int64) sstable
 	case TransportFS:
 		// The FS port writes synchronously with an extra user->fs copy.
 		return &fsSink{
-			syncSink: syncSink{qp: w.qp, dest: dest, cap: capacity, node: db.cn, bufSize: db.opts.FlushBufSize},
+			syncSink: syncSink{qp: w.qp, dest: dest, cap: capacity, node: db.cn, bufSize: flushBufSize},
 			db:       db,
 		}
 	default:
@@ -54,7 +58,7 @@ func (db *DB) newSink(w *bgWorker, dest rdma.RemoteAddr, capacity int64) sstable
 			w.pipeline.Reset(dest, int(capacity))
 			return w.pipeline
 		}
-		return &syncSink{qp: w.qp, dest: dest, cap: capacity, node: db.cn, bufSize: db.opts.FlushBufSize}
+		return &syncSink{qp: w.qp, dest: dest, cap: capacity, node: db.cn, bufSize: flushBufSize}
 	}
 }
 

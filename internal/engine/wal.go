@@ -4,34 +4,50 @@ import (
 	"fmt"
 
 	"dlsm/internal/keys"
+	"dlsm/internal/rdma"
 	"dlsm/internal/sim"
 	"dlsm/internal/wal"
 )
 
 // ErrFenced is returned by writes on a primary whose shard lease was
-// taken over by another compute node (see Options.WALFence).
+// taken over by another compute node (see Binding.Fence).
 var ErrFenced = wal.ErrFenced
 
-// walSlotKey names this DB's log slot on the memory node. Recover must
-// derive the same key from the same (WALOwner, WALShard) pair to find
-// the slot the crashed compute node was appending to.
-func walSlotKey(opts Options) uint64 {
-	return sim.Mix64(0x57A1D06, uint64(opts.WALOwner), uint64(opts.WALShard)) | 1
+// Binding names the remote resources one engine binds on its memory node:
+// the log slot, and the lease word its commits are fenced on. It is not
+// configuration — the layer that places the engine (internal/shard)
+// constructs it per shard, and only this package interprets it.
+type Binding struct {
+	// Owner (the logical compute identity) and Shard name the log slot.
+	// Every live logging DB needs a distinct pair per memory node; Recover
+	// and OpenSecondary find the slot again under the same pair.
+	Owner, Shard int
+
+	// Fence and FenceWord wire the shard's ownership lease (internal/lease)
+	// into the log's commit path: each doorbell acknowledges only after a
+	// one-sided CAS verifies the remote word at Fence still reads
+	// FenceWord, so a lease takeover rejects the deposed owner's in-flight
+	// appends with ErrFenced. The zero Fence disables fencing.
+	Fence     rdma.RemoteAddr
+	FenceWord uint64
 }
 
-// WALSlotKey exposes the slot-key derivation to failover tooling: after a
-// torn checkpoint publish, an operator (or test) reads the 64-byte headers
-// of both sides of a replicated slot pair — memnode.FindLog with this key
-// on each memory node — and arbitrates with repl.PickSlotPair before
-// choosing which node to Recover from.
-func WALSlotKey(opts Options) uint64 { return walSlotKey(opts) }
+// SlotKey names the bound log slot on the memory node (and, replicated,
+// the mirrored slot on the replica). Failover tooling uses it too: after
+// a torn checkpoint publish, an operator (or test) reads the 64-byte
+// headers of both sides of a replicated slot pair — memnode.FindLog with
+// this key on each memory node — and arbitrates with repl.PickSlotPair
+// before choosing which node to Recover from.
+func (b Binding) SlotKey() uint64 {
+	return sim.Mix64(0x57A1D06, uint64(b.Owner), uint64(b.Shard)) | 1
+}
 
 // openWAL attaches the remote write-ahead log. With recovering=true the
 // slot must already exist (Recover found it) and is left untouched until
 // FinishRecovery; otherwise the slot is created on demand and stamped
 // with a fresh epoch.
 func (db *DB) openWAL(recovering bool) error {
-	slot, err := db.srv.OpenLog(walSlotKey(db.opts), db.opts.WALSize)
+	slot, err := db.srv.OpenLog(db.bind.SlotKey(), db.opts.WALSize)
 	if err != nil {
 		return fmt.Errorf("engine: opening wal slot: %w", err)
 	}
@@ -39,7 +55,7 @@ func (db *DB) openWAL(recovering bool) error {
 	if db.mirror != nil {
 		// The replica slot uses the same logical key, so a promotion finds
 		// the mirrored log exactly where Recover looks for the primary one.
-		rslot, rerr := db.opts.Replica.OpenLog(walSlotKey(db.opts), db.opts.WALSize)
+		rslot, rerr := db.opts.Replica.OpenLog(db.bind.SlotKey(), db.opts.WALSize)
 		if rerr != nil {
 			return fmt.Errorf("engine: opening replica wal slot: %w", rerr)
 		}
@@ -64,8 +80,8 @@ func (db *DB) openWAL(recovering bool) error {
 		Slot:      slot.Addr,
 		SlotSize:  slot.Size,
 		PerWrite:  db.opts.WALPerWriteCommit,
-		Fence:     db.opts.WALFence,
-		FenceWord: db.opts.WALFenceWord,
+		Fence:     db.bind.Fence,
+		FenceWord: db.bind.FenceWord,
 		Replica:   replica,
 		Refresh:   db.walCheckpoint,
 		Kick:      db.walKick,

@@ -102,9 +102,11 @@ func (s *Session) claimSeqs(n int) (lo uint64, locked *memtable.MemTable) {
 	}
 	// Conventional ports (SwitchLocked): sequence assignment and the
 	// full-table check are a critical section; the CPU burned while holding
-	// the lock caps aggregate write throughput regardless of threads.
+	// the lock — the synchronization cost dLSM eliminates (§IV) — caps
+	// aggregate write throughput regardless of threads.
+	const syncOverhead = 450 * time.Nanosecond
 	db.writeMu.Lock()
-	db.charge(db.opts.SyncOverhead)
+	db.charge(syncOverhead)
 	lo = db.seq.Add(uint64(n)) - uint64(n) + 1
 	s.claim.Store(lo)
 	locked = db.cur.Load()
@@ -174,7 +176,7 @@ func (db *DB) switchLocked(mt *memtable.MemTable) {
 	db.recent = append(db.recent, next)
 	// recent keeps only tables that can still receive straggler writes or
 	// serve reads before flushing: cap its growth.
-	if len(db.recent) > db.opts.MaxImmutables+4 {
+	if len(db.recent) > maxImmutables+4 {
 		db.recent = db.recent[1:]
 	}
 	db.stats.MemSwitches.Add(1)
@@ -184,7 +186,7 @@ func (db *DB) switchLocked(mt *memtable.MemTable) {
 	db.immCount.Store(int32(len(db.imms)))
 	db.mu.Unlock()
 	if !db.flushCh.TrySend(mt) {
-		// Cannot happen: MaxImmutables stalls writers far below the
+		// Cannot happen: maxImmutables stalls writers far below the
 		// queue capacity. Blocking here would hold switchMu across a
 		// sim wait, so fail loudly instead.
 		panic("engine: flush queue overflow")
@@ -248,13 +250,17 @@ func (db *DB) maybeStall() error {
 	return err
 }
 
+// maxImmutables is how many immutable MemTables may wait for a flush
+// before writers stall.
+const maxImmutables = 16
+
 // shouldStall uses atomic counters only, so it is safe both before and
 // while holding db.mu.
 func (db *DB) shouldStall() bool {
 	if db.opts.L0StopTrigger > 0 && int(db.l0count.Load()) >= db.opts.L0StopTrigger {
 		return true
 	}
-	return int(db.immCount.Load()) >= db.opts.MaxImmutables
+	return int(db.immCount.Load()) >= maxImmutables
 }
 
 // chargeBatched coalesces per-write CPU charges per session.

@@ -86,7 +86,7 @@ func TestNoParkOnLogUnderClaim(t *testing.T) {
 	opts.Durability = DurabilitySync
 	opts.WALSize = 128 << 10
 	deployment(t, func(env *sim.Env, cn1, cn2 *rdma.Node, srv *memnode.Server) {
-		db := Open(cn1, srv, opts)
+		db := mustOpen(cn1, srv, opts)
 		putAll(t, env, db, writers, per)
 		st := db.Stats()
 		if st.WALRingStalls.Load() == 0 || st.Flushes.Load() == 0 {
@@ -96,7 +96,7 @@ func TestNoParkOnLogUnderClaim(t *testing.T) {
 		cn1.Crash()
 		db.Close()
 
-		db2, err := Recover(cn2, srv, opts)
+		db2, err := Recover(cn2, srv, opts, Binding{})
 		if err != nil {
 			t.Fatalf("Recover: %v", err)
 		}
@@ -145,7 +145,7 @@ func TestRefusedWriteLeavesNoTrace(t *testing.T) {
 
 	t.Run("fenced", func(t *testing.T) {
 		deployment(t, func(env *sim.Env, cn1, cn2 *rdma.Node, srv *memnode.Server) {
-			ls, err := srv.OpenLease(lease.SlotKey(opts.WALOwner, opts.WALShard))
+			ls, err := srv.OpenLease(lease.SlotKey(0, 0))
 			if err != nil {
 				t.Fatalf("OpenLease: %v", err)
 			}
@@ -155,9 +155,10 @@ func TestRefusedWriteLeavesNoTrace(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Acquire: %v", err)
 			}
-			fenced := opts
-			fenced.WALFence, fenced.WALFenceWord = ls.Addr, l1.Word()
-			db := Open(cn1, srv, fenced)
+			db, err := Open(cn1, srv, opts, Binding{Fence: ls.Addr, FenceWord: l1.Word()})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
 			defer db.Close()
 			s := db.NewSession()
 			defer s.Close()

@@ -45,7 +45,6 @@ func replOptions(replica *memnode.Server, mode repl.Mode) engine.Options {
 	opts.Durability = engine.DurabilitySync
 	opts.WALSize = 1 << 20
 	opts.CompactionSite = engine.CompactLocal
-	opts.ReplicationFactor = 2
 	opts.Replica = replica
 	opts.ReplAck = repl.AckQuorum
 	opts.ReplMode = mode
@@ -138,7 +137,11 @@ func runMemnodeFailover(t *testing.T, seed int64, mode repl.Mode) failoverOutcom
 		srv2.Start()
 
 		opts := replOptions(srv2, mode)
-		db := engine.Open(cn1, srv1, opts)
+		db, err := engine.Open(cn1, srv1, opts, engine.Binding{})
+		if err != nil {
+			t.Errorf("Open: %v", err)
+			return
+		}
 		inj.CrashNode(mem1, sim.Time(20*time.Millisecond), 0)
 
 		acked := runWriters(env, db)
@@ -151,9 +154,8 @@ func runMemnodeFailover(t *testing.T, seed int64, mode repl.Mode) failoverOutcom
 		// slot key the primary used, so plain Recover pointed at it adopts
 		// everything. Replication is off on the promoted side (its peer died).
 		optsP := opts
-		optsP.ReplicationFactor = 0
-		optsP.Replica = nil
-		db2, err := engine.Recover(cn2, srv2, optsP)
+		optsP.Replica, optsP.ReplAck, optsP.ReplMode = nil, repl.AckPrimary, repl.IndexOnly
+		db2, err := engine.Recover(cn2, srv2, optsP, engine.Binding{})
 		if err != nil {
 			t.Errorf("promoting replica: %v", err)
 			return
@@ -261,12 +263,16 @@ func runTornPublish(t *testing.T, seed int64) tornOutcome {
 				cn1.Crash()
 			}
 		}
-		db := engine.Open(cn1, srv1, opts)
+		db, err := engine.Open(cn1, srv1, opts, engine.Binding{})
+		if err != nil {
+			t.Errorf("Open: %v", err)
+			return
+		}
 		acked := runWriters(env, db)
 		out.acked = len(acked)
 		db.Close()
 
-		key := engine.WALSlotKey(opts)
+		key := engine.Binding{}.SlotKey()
 		praw := readHeader(t, cn2, srv1, key)
 		rraw := readHeader(t, cn2, srv2, key)
 		ph, err := repl.DecodeReplicaSlot(praw)
@@ -287,10 +293,9 @@ func runTornPublish(t *testing.T, seed int64) tornOutcome {
 
 		// Recover from the side the arbitration picked (the replica).
 		optsP := opts
-		optsP.ReplicationFactor = 0
-		optsP.Replica = nil
+		optsP.Replica, optsP.ReplAck, optsP.ReplMode = nil, repl.AckPrimary, repl.IndexOnly
 		optsP.ReplTornHook = nil
-		db2, err := engine.Recover(cn2, srv2, optsP)
+		db2, err := engine.Recover(cn2, srv2, optsP, engine.Binding{})
 		if err != nil {
 			t.Errorf("recovering from the torn pair's replica side: %v", err)
 			return

@@ -48,7 +48,7 @@ func runLeaseHandoff(t *testing.T, seed int64) crashOutcome {
 		srv.Start()
 
 		opts := leaseOpts()
-		ls, err := srv.OpenLease(lease.SlotKey(opts.WALOwner, opts.WALShard))
+		ls, err := srv.OpenLease(lease.SlotKey(0, 0))
 		if err != nil {
 			t.Errorf("OpenLease: %v", err)
 			return
@@ -62,10 +62,13 @@ func runLeaseHandoff(t *testing.T, seed int64) crashOutcome {
 		// The fence word is all the engine needs; the client itself is not
 		// part of the write path (and node 1 is about to die holding it).
 		cl1.Close()
-		opts.WALFence = ls.Addr
-		opts.WALFenceWord = l1.Word()
+		bind := engine.Binding{Fence: ls.Addr, FenceWord: l1.Word()}
 
-		db := engine.Open(cn1, srv, opts)
+		db, err := engine.Open(cn1, srv, opts, bind)
+		if err != nil {
+			t.Errorf("Open: %v", err)
+			return
+		}
 		inj.CrashNode(cn1, sim.Time(20*time.Millisecond), 0)
 
 		const writers = 4
@@ -106,8 +109,8 @@ func runLeaseHandoff(t *testing.T, seed int64) crashOutcome {
 		if l2.Epoch != l1.Epoch+1 {
 			t.Errorf("takeover epoch = %d, want %d", l2.Epoch, l1.Epoch+1)
 		}
-		opts.WALFenceWord = l2.Word()
-		db2, err := engine.Recover(cn2, srv, opts)
+		bind.FenceWord = l2.Word()
+		db2, err := engine.Recover(cn2, srv, opts, bind)
 		if err != nil {
 			t.Errorf("Recover: %v", err)
 			return
@@ -182,7 +185,7 @@ func TestDeposedOwnerFenced(t *testing.T) {
 		srv.Start()
 
 		opts := leaseOpts()
-		ls, err := srv.OpenLease(lease.SlotKey(opts.WALOwner, opts.WALShard))
+		ls, err := srv.OpenLease(lease.SlotKey(0, 0))
 		if err != nil {
 			t.Fatalf("OpenLease: %v", err)
 		}
@@ -192,10 +195,12 @@ func TestDeposedOwnerFenced(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Acquire: %v", err)
 		}
-		opts.WALFence = ls.Addr
-		opts.WALFenceWord = l1.Word()
+		bind := engine.Binding{Fence: ls.Addr, FenceWord: l1.Word()}
 
-		db1 := engine.Open(cn1, srv, opts)
+		db1, err := engine.Open(cn1, srv, opts, bind)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
 		s1 := db1.NewSession()
 		const n = 200
 		for i := 0; i < n; i++ {
@@ -211,8 +216,8 @@ func TestDeposedOwnerFenced(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Takeover: %v", err)
 		}
-		opts.WALFenceWord = l2.Word()
-		db2, err := engine.Recover(cn2, srv, opts)
+		bind.FenceWord = l2.Word()
+		db2, err := engine.Recover(cn2, srv, opts, bind)
 		if err != nil {
 			t.Fatalf("Recover: %v", err)
 		}

@@ -55,9 +55,10 @@ func runMigrationCrash(t *testing.T, seed int64) migOutcome {
 		const n = 4000
 		opts := leaseOpts()
 		bounds := shard.UniformBoundaries(2, n, migKey)
-		db, err := shard.NewPrimary(cn1, servers, 2, bounds, opts, 0)
+		place := shard.Placement{Servers: servers, Lambda: 2, Boundaries: bounds, Lease: true}
+		db, err := shard.Open(cn1, shard.RolePrimary, place, opts)
 		if err != nil {
-			t.Errorf("NewPrimary: %v", err)
+			t.Errorf("leased primary: %v", err)
 			return
 		}
 
@@ -128,7 +129,8 @@ func runMigrationCrash(t *testing.T, seed int64) migOutcome {
 		// Takeover from the second compute node with the original geometry
 		// (the routing table is compute-local state; a pre-flip crash means
 		// the original geometry still covers every acked write).
-		db2, err := shard.Takeover(cn2, servers, 2, bounds, opts, 1)
+		place.ComputeIdx = 1
+		db2, err := shard.Open(cn2, shard.RoleTakeover, place, opts)
 		if err != nil {
 			t.Errorf("Takeover: %v", err)
 			return

@@ -53,7 +53,11 @@ func runCrashRecovery(t *testing.T, seed int64) crashOutcome {
 		// log's append path are all one-sided.
 		opts.CompactionSite = engine.CompactLocal
 
-		db := engine.Open(cn1, srv, opts)
+		db, err := engine.Open(cn1, srv, opts, engine.Binding{})
+		if err != nil {
+			t.Errorf("Open: %v", err)
+			return
+		}
 		inj.CrashNode(cn1, sim.Time(20*time.Millisecond), 0)
 
 		const writers = 4
@@ -83,7 +87,7 @@ func runCrashRecovery(t *testing.T, seed int64) crashOutcome {
 		out.memCPU = mem.CPU.Utilization()
 		db.Close()
 
-		db2, err := engine.Recover(cn2, srv, opts)
+		db2, err := engine.Recover(cn2, srv, opts, engine.Binding{})
 		if err != nil {
 			t.Errorf("Recover: %v", err)
 			return

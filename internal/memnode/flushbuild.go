@@ -17,7 +17,7 @@ import (
 // compute node ships only record locations, never the data — the bytes
 // already crossed the network once, as WAL appends.
 type FlushReplay struct {
-	LogKey  uint64 // memnode log-slot key (engine.WALSlotKey)
+	LogKey  uint64 // memnode log-slot key (engine.Binding.SlotKey)
 	Epoch   uint64 // current log epoch; stale-epoch records fail to parse
 	SeqLo   uint64 // memtable sequence range: entries outside are skipped
 	SeqHi   uint64

@@ -61,7 +61,7 @@ type AckPolicy int
 const (
 	// AckPrimary acks once the primary memory node has the bytes; the
 	// replica is mirrored best-effort and a replica failure only degrades
-	// redundancy. This is the pre-replication behavior when RF=1.
+	// redundancy. This is the pre-replication behavior without a replica.
 	AckPrimary AckPolicy = iota
 	// AckQuorum acks once a majority of copies is durable. With two
 	// copies a majority is both of them, so Quorum and All coincide.
@@ -71,7 +71,7 @@ const (
 )
 
 // Sync reports whether the policy requires the replica write to complete
-// before acknowledging. With ReplicationFactor=2, Quorum and All both do.
+// before acknowledging. With one replica, Quorum and All both do.
 func (p AckPolicy) Sync() bool { return p != AckPrimary }
 
 func (p AckPolicy) String() string {
@@ -122,14 +122,11 @@ type Mirror struct {
 	alloc *remote.Allocator
 	rmr   *rdma.MemoryRegion
 
-	mu      *sim.Mutex
-	tables  map[uint64]entry
-	down    bool
-	closed  bool
-	qpP     *rdma.QP    // compute→primary, LogReplay read-back
-	qpR     *rdma.QP    // compute→replica, LogReplay write-out
-	cli     *rpc.Client // compute→primary, IndexOnly clone requests
-	scratch *rdma.MemoryRegion
+	mu     *sim.Mutex
+	tables map[uint64]entry
+	down   bool
+	closed bool
+	ship   *Shipper // primary→replica extent transfer, under mu
 
 	// Registered on the fabric registry only when a mirror exists, so an
 	// unreplicated deployment's telemetry stays byte-identical to the seed.
@@ -154,6 +151,7 @@ func NewMirror(cfg Config) *Mirror {
 		rmr:       cfg.Replica.DataMR(),
 		mu:        sim.NewMutex(env),
 		tables:    make(map[uint64]entry),
+		ship:      NewShipper(cfg.Compute, cfg.Primary.Node(), cfg.Replica.Node(), cfg.RPC),
 		tablesC:   tel.Counter("repl.tables"),
 		releasedC: tel.Counter("repl.released"),
 		bytesC:    tel.Counter("repl.bytes"),
@@ -188,11 +186,19 @@ func (m *Mirror) Attach(meta *sstable.Meta) error {
 		return m.failLocked(fmt.Errorf("replica extent alloc: %w", err))
 	}
 	dst := m.rmr.Addr(int(off))
+	// IndexOnly: the primary memory node writes the extent straight to the
+	// replica, n bytes on the wire and no compute CPU. LogReplay: the
+	// compute node reads it back and writes it out, 2n bytes.
 	var cerr error
 	if m.cfg.Mode == LogReplay {
-		cerr = m.copyViaComputeLocked(meta, dst, n)
+		if cerr = m.ship.Copy(meta.Data, dst, n); cerr == nil {
+			m.netC.Add(2 * int64(n))
+		}
 	} else {
-		cerr = m.cloneLocked(meta, dst, n)
+		m.cloneC.Inc()
+		if cerr = m.ship.Clone(meta.Data, dst, n); cerr == nil {
+			m.netC.Add(int64(n))
+		}
 	}
 	if cerr != nil {
 		// Failed dual-write: the replica extent must not leak. The copy
@@ -203,49 +209,6 @@ func (m *Mirror) Attach(meta *sstable.Meta) error {
 	m.tables[meta.ID] = entry{addr: dst, extent: meta.Extent}
 	m.tablesC.Inc()
 	m.bytesC.Add(int64(n))
-	return nil
-}
-
-// cloneLocked asks the primary memory node to write the extent straight to
-// the replica (IndexOnly): n bytes cross the wire, no compute CPU.
-func (m *Mirror) cloneLocked(meta *sstable.Meta, dst rdma.RemoteAddr, n int) error {
-	if m.cli == nil {
-		m.cli = rpc.NewClient(m.cfg.Compute, m.cfg.Primary.Node(), nil, 4096)
-	}
-	var args [32]byte
-	binary.LittleEndian.PutUint64(args[0:], uint64(meta.Data.Off))
-	binary.LittleEndian.PutUint64(args[8:], uint64(n))
-	binary.LittleEndian.PutUint32(args[16:], uint32(dst.Node))
-	binary.LittleEndian.PutUint32(args[20:], dst.RKey)
-	binary.LittleEndian.PutUint64(args[24:], uint64(dst.Off))
-	m.cloneC.Inc()
-	if _, err := m.cli.CallPolicy("repl_clone", args[:], m.cfg.RPC); err != nil {
-		return fmt.Errorf("repl_clone: %w", err)
-	}
-	m.netC.Add(int64(n))
-	return nil
-}
-
-// copyViaComputeLocked reads the extent back from the primary and writes it
-// to the replica (LogReplay): 2n bytes cross the wire.
-func (m *Mirror) copyViaComputeLocked(meta *sstable.Meta, dst rdma.RemoteAddr, n int) error {
-	if m.qpP == nil {
-		m.qpP = m.cfg.Compute.NewQP(m.cfg.Primary.Node())
-		m.qpR = m.cfg.Compute.NewQP(m.cfg.Replica.Node())
-	}
-	if m.scratch == nil || m.scratch.Size() < n {
-		if m.scratch != nil {
-			m.cfg.Compute.Deregister(m.scratch)
-		}
-		m.scratch = m.cfg.Compute.Register(max(n, 64<<10))
-	}
-	if err := m.qpP.ReadSync(m.scratch, 0, meta.Data, n); err != nil {
-		return fmt.Errorf("read-back: %w", err)
-	}
-	if err := m.qpR.WriteSync(m.scratch, 0, dst, n); err != nil {
-		return fmt.Errorf("write-out: %w", err)
-	}
-	m.netC.Add(2 * int64(n))
 	return nil
 }
 
@@ -327,16 +290,87 @@ func (m *Mirror) Close() {
 		return
 	}
 	m.closed = true
-	if m.qpP != nil {
-		m.qpP.Close()
-		m.qpR.Close()
+	m.ship.Close()
+}
+
+// Shipper moves SSTable extents (data + footer) from one memory node to
+// another on behalf of a compute node. Replication (Mirror.Attach) and
+// shard migration (engine.Migration) both ship through it. The RPC client,
+// queue pairs and scratch region are created on first use. Not safe for
+// concurrent use: a Mirror ships under its mutex, a migration is
+// single-threaded.
+type Shipper struct {
+	cn, src, dst *rdma.Node
+	policy       rpc.Policy
+
+	cli          *rpc.Client // compute→src, repl_clone requests
+	qpSrc, qpDst *rdma.QP    // compute-mediated copy
+	scratch      *rdma.MemoryRegion
+}
+
+// NewShipper prepares transfers from memory node src to memory node dst
+// driven by compute node cn; policy governs the repl_clone RPC.
+func NewShipper(cn, src, dst *rdma.Node, policy rpc.Policy) *Shipper {
+	return &Shipper{cn: cn, src: src, dst: dst, policy: policy}
+}
+
+// Clone asks src to chain-write the n bytes at from — an address in its
+// compute-shared data region — straight to to on dst (the repl_clone verb,
+// idempotent on retry): n bytes cross the wire, no compute CPU.
+func (s *Shipper) Clone(from, to rdma.RemoteAddr, n int) error {
+	if s.cli == nil {
+		s.cli = rpc.NewClient(s.cn, s.src, nil, 4096)
 	}
-	if m.cli != nil {
-		m.cli.Close()
+	var args [32]byte
+	binary.LittleEndian.PutUint64(args[0:], uint64(from.Off))
+	binary.LittleEndian.PutUint64(args[8:], uint64(n))
+	binary.LittleEndian.PutUint32(args[16:], uint32(to.Node))
+	binary.LittleEndian.PutUint32(args[20:], to.RKey)
+	binary.LittleEndian.PutUint64(args[24:], uint64(to.Off))
+	if _, err := s.cli.CallPolicy("repl_clone", args[:], s.policy); err != nil {
+		return fmt.Errorf("repl_clone: %w", err)
 	}
-	if m.scratch != nil {
-		m.cfg.Compute.Deregister(m.scratch)
-		m.scratch = nil
+	return nil
+}
+
+// Copy reads the n bytes at from back to the compute node and writes them
+// out to to on dst: 2n bytes cross the wire. It reaches extents Clone
+// cannot — src's self-controlled area, which repl_clone does not address.
+func (s *Shipper) Copy(from, to rdma.RemoteAddr, n int) error {
+	if s.qpSrc == nil {
+		s.qpSrc = s.cn.NewQP(s.src)
+		s.qpDst = s.cn.NewQP(s.dst)
+	}
+	if s.scratch == nil || s.scratch.Size() < n {
+		if s.scratch != nil {
+			s.cn.Deregister(s.scratch)
+		}
+		s.scratch = s.cn.Register(max(n, 64<<10))
+	}
+	if err := s.qpSrc.ReadSync(s.scratch, 0, from, n); err != nil {
+		return fmt.Errorf("read-back: %w", err)
+	}
+	if err := s.qpDst.WriteSync(s.scratch, 0, to, n); err != nil {
+		return fmt.Errorf("write-out: %w", err)
+	}
+	return nil
+}
+
+// Close releases the shipper's fabric resources; it may be used again
+// afterwards (they are re-created on demand).
+func (s *Shipper) Close() {
+	if s.cli != nil {
+		s.cli.Close()
+		s.cli = nil
+	}
+	if s.qpSrc != nil {
+		s.qpSrc.Close()
+		s.qpDst.Close()
+		s.qpSrc, s.qpDst = nil, nil
+	}
+	if s.scratch != nil {
+		s.cn.Deregister(s.scratch)
+		s.scratch = nil
 	}
 }
 

@@ -247,51 +247,11 @@ func purgeRange(eng *engine.DB, lo, hi []byte) error {
 	return it.Error()
 }
 
-// openShard opens a fresh engine on servers[srv] under a newly allotted
-// shard id (its WAL slot id). On a leased DB the shard's write lease is
-// claimed first and wired into the engine's commit fence, exactly as
-// NewPrimary does for the initial shards. Caller holds rebalMu.
-func (db *DB) openShard(srv int) (entry, error) {
-	id := db.nextID
-	db.nextID++
-	opts := db.baseOpts
-	opts.WALShard = id
-	if db.leased {
-		hold, err := claimShard(db.cn, db.servers[srv], opts.Replica, opts.WALOwner, id, db.holder, false)
-		if err != nil {
-			return entry{}, fmt.Errorf("shard %d lease: %w", id, err)
-		}
-		db.leases[id] = hold
-		opts.WALFence = hold.client.Addr()
-		opts.WALFenceWord = hold.l.Word()
-	}
-	eng, err := engine.TryOpen(db.cn, db.servers[srv], opts)
-	if err != nil {
-		db.dropLease(id)
-		return entry{}, fmt.Errorf("shard %d: %w", id, err)
-	}
-	e := entry{eng: eng, id: id, srv: srv}
-	if db.baseOpts.AutoBalance {
-		e.sampler = newKeySampler()
-	}
-	return e, nil
-}
-
 // abandonShard closes a fresh shard that never entered the routing table
 // (failure paths) and hands back its lease.
 func (db *DB) abandonShard(e entry) {
 	e.eng.Close()
 	db.dropLease(e.id)
-}
-
-// dropLease hands back the write lease of a shard that never entered the
-// routing table, if the DB is leased at all.
-func (db *DB) dropLease(id int) {
-	if h, ok := db.leases[id]; ok {
-		_ = h.client.Release(h.l)
-		h.client.Close()
-		delete(db.leases, id)
-	}
 }
 
 // retire moves an engine the routing table no longer references to the
@@ -365,7 +325,7 @@ func (db *DB) SplitShardAt(id int, pivot []byte) error {
 	}
 	src := rt0.entries[idx]
 
-	dst, err := db.openShard(src.srv)
+	dst, err := db.openShard(src.srv, RolePrimary)
 	if err != nil {
 		return err
 	}
@@ -474,7 +434,7 @@ func (db *DB) MigrateShard(id int, srv int) error {
 	}
 	lo, hi := rt0.lo(idx), rt0.hi(idx)
 
-	dst, err := db.openShard(srv)
+	dst, err := db.openShard(srv, RolePrimary)
 	if err != nil {
 		return err
 	}

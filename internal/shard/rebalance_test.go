@@ -31,9 +31,11 @@ func harness2(t *testing.T, lambda int, n int, o engine.Options, fn func(env *si
 	}
 	env.Run(func() {
 		bounds := UniformBoundaries(lambda, n, key)
-		db, err := New(cn, servers, lambda, bounds, o)
+		// A non-zero compute identity: the log slots of shards born from
+		// later splits and migrations must derive from it too.
+		db, err := Open(cn, RolePrimary, Placement{ComputeIdx: 3, Servers: servers, Lambda: lambda, Boundaries: bounds}, o)
 		if err != nil {
-			t.Fatalf("New: %v", err)
+			t.Fatalf("Open: %v", err)
 		}
 		fn(env, db)
 		db.Close()
@@ -223,7 +225,6 @@ func TestMigrateClonePath(t *testing.T) {
 	const n = 600
 	o := opts()
 	o.Durability = engine.DurabilitySync
-	o.WALOwner = 3
 	harness2(t, 2, n, o, func(env *sim.Env, db *DB) {
 		s := db.NewSession()
 		defer s.Close()

@@ -106,7 +106,7 @@ type DB struct {
 	env      *sim.Env
 	cn       *rdma.Node
 	servers  []*memnode.Server
-	baseOpts engine.Options // normalized per-shard options (WALShard/WALFence overwritten per shard)
+	baseOpts engine.Options // normalized per-shard options
 
 	routing atomic.Pointer[routeTable]
 
@@ -116,11 +116,11 @@ type DB struct {
 	gateCond *sim.Cond
 	rebalMu  *sim.Mutex
 
-	nextID         int      // next unused shard id (== WAL slot id)
-	initBoundaries [][]byte // geometry passed at open time
+	nextID int // next unused shard id (== WAL slot id)
 
-	leased bool // NewPrimary/Takeover: new shards claim leases too
-	holder int
+	owner  int               // logical identity naming every shard's log slot and lease
+	leased bool              // every shard, including ones born later, claims a write lease
+	holder int               // lease-holder identity (the compute index)
 	leases map[int]leaseHold // by shard id
 
 	secondary bool // read-only secondary: no rebalancing
@@ -136,137 +136,6 @@ type DB struct {
 
 	bal    *balance.Balancer
 	balReg *telemetry.Registry
-}
-
-// newShell builds the DB scaffolding shared by every constructor.
-func newShell(cn *rdma.Node, servers []*memnode.Server, opts engine.Options, lambda int) *DB {
-	env := cn.Fabric().Env()
-	db := &DB{
-		env:      env,
-		cn:       cn,
-		servers:  servers,
-		baseOpts: opts,
-		nextID:   lambda,
-		gateMu:   sim.NewMutex(env),
-		rebalMu:  sim.NewMutex(env),
-		leases:   map[int]leaseHold{},
-		sessions: map[*Session]struct{}{},
-	}
-	db.gateCond = sim.NewNamedCond(env, db.gateMu, "shard.gate")
-	return db
-}
-
-// finish publishes the initial routing table and, when Options.AutoBalance
-// is set on a primary, starts the rebalancer.
-func (db *DB) finish(entries []entry) {
-	db.routing.Store(&routeTable{epoch: 1, boundaries: db.initBoundaries, entries: entries})
-	if db.baseOpts.AutoBalance && !db.secondary {
-		db.startBalancer()
-	}
-}
-
-// New opens λ shards on compute node cn. servers selects the backing
-// memory node per shard (round-robin over the slice, §IX); pass one server
-// for the single-memory-node setup. boundaries must be ascending and have
-// length λ-1 (nil for λ=1) — with elastic sharding they are a starting
-// point, not a contract: splits and merges move them afterwards. Each
-// shard gets Options.WALShard = its id, so with Options.Durability set
-// every shard logs to its own slot and Recover can find them again.
-func New(cn *rdma.Node, servers []*memnode.Server, lambda int, boundaries [][]byte, opts engine.Options) (*DB, error) {
-	lambda, opts, err := normalize(lambda, boundaries, opts)
-	if err != nil {
-		return nil, err
-	}
-	db := newShell(cn, servers, opts, lambda)
-	db.initBoundaries = boundaries
-	var entries []entry
-	for i := 0; i < lambda; i++ {
-		opts.WALShard = i
-		eng, err := engine.TryOpen(cn, servers[i%len(servers)], opts)
-		if err != nil {
-			closeEntries(entries)
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		e := entry{eng: eng, id: i, srv: i % len(servers)}
-		if opts.AutoBalance {
-			e.sampler = newKeySampler()
-		}
-		entries = append(entries, e)
-	}
-	db.finish(entries)
-	return db, nil
-}
-
-// Recover rebuilds a λ-sharded DB from the remote write-ahead logs a
-// crashed compute node left behind. The arguments must match the dead
-// DB's New call (same λ, boundaries, servers order and sizing options —
-// in particular Options.WALOwner); cn may be any live compute node. Each
-// shard replays its own log slot; on any failure the already-recovered
-// shards are closed and the error returned. Recovery reconstructs the
-// *initial* geometry: if the dead primary had split or merged shards
-// online, recover with the geometry it last ran (the routing table is
-// compute-local state, not yet persisted).
-func Recover(cn *rdma.Node, servers []*memnode.Server, lambda int, boundaries [][]byte, opts engine.Options) (*DB, error) {
-	lambda, opts, err := normalize(lambda, boundaries, opts)
-	if err != nil {
-		return nil, err
-	}
-	db := newShell(cn, servers, opts, lambda)
-	db.initBoundaries = boundaries
-	var entries []entry
-	for i := 0; i < lambda; i++ {
-		opts.WALShard = i
-		sh, err := engine.Recover(cn, servers[i%len(servers)], opts)
-		if err != nil {
-			closeEntries(entries)
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		e := entry{eng: sh, id: i, srv: i % len(servers)}
-		if opts.AutoBalance {
-			e.sampler = newKeySampler()
-		}
-		entries = append(entries, e)
-	}
-	db.finish(entries)
-	return db, nil
-}
-
-func closeEntries(entries []entry) {
-	for _, e := range entries {
-		e.eng.Close()
-	}
-}
-
-// normalize validates the shard geometry and derives per-shard options
-// shared by New and Recover (the two must agree or recovery would look
-// for the wrong log slots).
-func normalize(lambda int, boundaries [][]byte, opts engine.Options) (int, engine.Options, error) {
-	if lambda < 1 {
-		lambda = 1
-	}
-	if len(boundaries) != lambda-1 {
-		return 0, opts, fmt.Errorf("%w: need exactly lambda-1 boundaries (lambda=%d, got %d)",
-			ErrBadBoundaries, lambda, len(boundaries))
-	}
-	for i := 1; i < len(boundaries); i++ {
-		if bytes.Compare(boundaries[i-1], boundaries[i]) >= 0 {
-			return 0, opts, fmt.Errorf("%w: not ascending at index %d", ErrBadBoundaries, i)
-		}
-	}
-	// Options.CacheBudgetBytes is the whole compute node's cache DRAM;
-	// each shard gets an equal slice so λ doesn't multiply the footprint.
-	opts.CacheBudgetBytes /= int64(lambda)
-	return lambda, opts, nil
-}
-
-// UniformBoundaries splits the printf("%0*d", width, i) key space used by
-// the db_bench-style workloads into lambda equal ranges over [0, maxKey).
-func UniformBoundaries(lambda int, maxKey int, format func(i int) []byte) [][]byte {
-	var out [][]byte
-	for i := 1; i < lambda; i++ {
-		out = append(out, format(maxKey*i/lambda))
-	}
-	return out
 }
 
 // Lambda returns the current shard count.
@@ -365,13 +234,17 @@ func (db *DB) TelemetrySnapshot() telemetry.Snapshot {
 	return telemetry.Merge(snaps...)
 }
 
-// SpaceUsed sums remote-memory usage over shards. Shards sharing one
-// memory node double-count its self-region; callers wanting exact totals
-// should query the servers directly.
+// SpaceUsed reports the remote-memory footprint of the memory nodes the
+// current shards live on. Every term an engine reports is a whole-server
+// number, so each distinct server counts once however many shards share it.
 func (db *DB) SpaceUsed() int64 {
 	var n int64
+	seen := map[*memnode.Server]bool{}
 	for _, e := range db.routing.Load().entries {
-		n += e.eng.SpaceUsed()
+		if srv := db.servers[e.srv]; !seen[srv] {
+			seen[srv] = true
+			n += e.eng.SpaceUsed()
+		}
 	}
 	return n
 }

@@ -181,3 +181,49 @@ func TestBadBoundariesError(t *testing.T) {
 	})
 	env.Wait()
 }
+
+// TestSpaceUsedCountsEachServerOnce: every term of an engine's SpaceUsed
+// is a whole-server number, so four shards sharing one memory node must
+// report its footprint once, not four times.
+func TestSpaceUsedCountsEachServerOnce(t *testing.T) {
+	const n, lambda = 4000, 4
+	harness(t, lambda, n, func(env *sim.Env, db *DB) {
+		s := db.NewSession()
+		defer s.Close()
+		for i := 0; i < n; i++ {
+			if err := s.Put(key(i), key(i)); err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+		}
+		db.Flush()
+		db.WaitForCompactions()
+		srv := db.servers[0]
+		want := srv.ComputeUsed() + srv.SelfUsed() + srv.FSUsed()
+		if want == 0 {
+			t.Fatal("nothing reached the memory node")
+		}
+		if got := db.SpaceUsed(); got != want {
+			t.Fatalf("SpaceUsed = %d, the server holds %d (%.1fx)", got, want, float64(got)/float64(want))
+		}
+	})
+}
+
+// TestClusterServersRoundRobin: compute node i's shard j lands on memory
+// node (i·λ+j) mod m whatever the ratio of λ to m, because shard j of a DB
+// uses Servers[j mod len].
+func TestClusterServersRoundRobin(t *testing.T) {
+	for _, g := range []struct{ c, m, lambda int }{{4, 4, 8}, {2, 4, 2}, {3, 5, 1}, {2, 1, 4}} {
+		servers := make([]*memnode.Server, g.m)
+		for i := range servers {
+			servers[i] = new(memnode.Server)
+		}
+		for i := 0; i < g.c; i++ {
+			got := ClusterServers(servers, i, g.lambda)
+			for j := 0; j < g.lambda; j++ {
+				if got[j%len(got)] != servers[(i*g.lambda+j)%g.m] {
+					t.Fatalf("c=%d m=%d λ=%d: compute %d shard %d misplaced", g.c, g.m, g.lambda, i, j)
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package dlsm
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -55,185 +56,205 @@ func iterHash(t *testing.T, db *DB) uint64 {
 
 func tkey(i int) []byte { return []byte(fmt.Sprintf("key-%08d", i)) }
 
-// TestOpenDBEquivalence: each legacy constructor and its OpenDB twin,
-// driven with the same workload in fresh identical deployments, produce
-// observably identical DBs.
-func TestOpenDBEquivalence(t *testing.T) {
-	const n, lambda = 3000, 4
-	bounds := UniformBoundaries(lambda, n, tkey)
-	cases := []struct {
-		name   string
-		legacy func(d *Deployment, opts Options) *DB
-		new    func(d *Deployment, opts Options) *DB
-	}{
-		{"Open", func(d *Deployment, opts Options) *DB {
-			return Open(d, opts)
-		}, func(d *Deployment, opts Options) *DB {
-			return mustOpen(OpenDB(d, RolePrimary, Placement{}, opts))
-		}},
-		{"OpenSharded", func(d *Deployment, opts Options) *DB {
-			return OpenSharded(d, opts, lambda, bounds)
-		}, func(d *Deployment, opts Options) *DB {
-			return mustOpen(OpenDB(d, RolePrimary, Placement{Lambda: lambda, Boundaries: bounds}, opts))
-		}},
-		{"OpenAt", func(d *Deployment, opts Options) *DB {
-			return OpenAt(d, 1, d.Servers, opts, lambda, bounds)
-		}, func(d *Deployment, opts Options) *DB {
-			return mustOpen(OpenDB(d, RolePrimary,
-				Placement{ComputeIdx: 1, Servers: d.Servers, Lambda: lambda, Boundaries: bounds}, opts))
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var fps [2]uint64
-			for v, open := range []func(d *Deployment, opts Options) *DB{tc.legacy, tc.new} {
-				cfg := SingleNodeConfig()
-				cfg.ComputeNodes = 2
-				d := NewDeployment(cfg)
-				d.Run(func() {
-					db := open(d, smallTestOpts())
-					fps[v] = fingerprint(t, db, n)
-					db.Close()
-				})
-				d.Close()
-			}
-			if fps[0] != fps[1] {
-				t.Fatalf("%s: legacy fingerprint %x != OpenDB fingerprint %x", tc.name, fps[0], fps[1])
-			}
-		})
+// putRange writes keys [0, n) with their canonical values through s.
+func putRange(t *testing.T, s *Session, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := s.Put(tkey(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatalf("Put(%d): %v", i, err)
+		}
 	}
 }
 
-// TestOpenDBRecoverCrossEquivalence proves the two paths derive identical
-// WAL slot keys, in the only way that matters: a DB written through the
-// legacy constructor is recoverable through OpenDB, and vice versa. A slot
-// key mismatch would recover an empty DB and fail the marker checks.
-func TestOpenDBRecoverCrossEquivalence(t *testing.T) {
-	const n = 2000
-	type opener func(d *Deployment, opts Options) *DB
-	type recoverer func(d *Deployment, opts Options) (*DB, error)
-	writeLegacy := opener(func(d *Deployment, opts Options) *DB { return Open(d, opts) })
-	writeNew := opener(func(d *Deployment, opts Options) *DB {
-		return mustOpen(OpenDB(d, RolePrimary, Placement{}, opts))
-	})
-	recoverLegacy := recoverer(func(d *Deployment, opts Options) (*DB, error) {
-		return RecoverAt(d, 1, 0, d.Servers, opts, 1, nil)
-	})
-	recoverNew := recoverer(func(d *Deployment, opts Options) (*DB, error) {
-		return OpenDB(d, RoleRecover, Placement{ComputeIdx: 1, Owner: 0}, opts)
-	})
-	for _, tc := range []struct {
-		name string
-		w    opener
-		r    recoverer
-	}{
-		{"legacy-write/OpenDB-recover", writeLegacy, recoverNew},
-		{"OpenDB-write/legacy-recover", writeNew, recoverLegacy},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+// wantRange reads every step-th key of [0, n) back through db.
+func wantRange(t *testing.T, db *DB, n, step int, when string) {
+	t.Helper()
+	s := db.NewSession()
+	defer s.Close()
+	for i := 0; i < n; i += step {
+		v, err := s.Get(tkey(i))
+		if err != nil || string(v) != fmt.Sprintf("v%d", i) {
+			t.Fatalf("Get(%d) %s: %q, %v", i, when, v, err)
+		}
+	}
+}
+
+// TestOpenDBRoleMatrix drives every role of the one constructor.
+func TestOpenDBRoleMatrix(t *testing.T) {
+	// A primary is the same DB wherever it is placed and however it is
+	// sharded: the same workload leaves the same observable contents at
+	// λ = 1 and 4, on compute node 0 and on a non-zero ComputeIdx.
+	t.Run("primary", func(t *testing.T) {
+		const n, lambda = 3000, 4
+		bounds := UniformBoundaries(lambda, n, tkey)
+		var fps []uint64
+		for _, p := range []Placement{
+			{},
+			{ComputeIdx: 1},
+			{ComputeIdx: 1, Lambda: lambda, Boundaries: bounds},
+		} {
 			cfg := SingleNodeConfig()
 			cfg.ComputeNodes = 2
 			d := NewDeployment(cfg)
 			d.Run(func() {
-				opts := smallTestOpts()
-				opts.Durability = DurabilitySync
-				db := tc.w(d, opts)
-				s := db.NewSession()
-				for i := 0; i < n; i++ {
-					if err := s.Put(tkey(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
-						t.Fatalf("Put(%d): %v", i, err)
-					}
+				db := mustOpenDB(t, d, RolePrimary, p, smallTestOpts())
+				if want := max(p.Lambda, 1); db.Lambda() != want {
+					t.Fatalf("Lambda = %d, want %d", db.Lambda(), want)
 				}
-				// Acked but never flushed: only the remote log has it.
-				if err := s.Put([]byte("marker"), []byte("acked-unflushed")); err != nil {
-					t.Fatalf("Put(marker): %v", err)
-				}
-				d.Compute[0].Crash()
-				s.Close()
+				fps = append(fps, fingerprint(t, db, n))
 				db.Close()
-
-				db2, err := tc.r(d, opts)
-				if err != nil {
-					t.Fatalf("recover: %v", err)
-				}
-				s2 := db2.NewSession()
-				for i := 0; i < n; i += 13 {
-					v, err := s2.Get(tkey(i))
-					if err != nil || string(v) != fmt.Sprintf("v%d", i) {
-						t.Fatalf("Get(%d) after recovery: %q, %v", i, v, err)
-					}
-				}
-				if v, err := s2.Get([]byte("marker")); err != nil || string(v) != "acked-unflushed" {
-					t.Fatalf("unflushed acked write lost: %q, %v", v, err)
-				}
-				s2.Close()
-				db2.Close()
 			})
 			d.Close()
+		}
+		if fps[0] != fps[1] || fps[0] != fps[2] {
+			t.Fatalf("fingerprints differ across placements: %x", fps)
+		}
+	})
+
+	// The owner-remap rule: a Sync primary on compute 0 crashes; RoleRecover
+	// on compute 1 with Owner 0 derives the dead node's slot keys and
+	// restores even the acknowledged write that never left the MemTable. A
+	// slot-key mismatch would recover an empty DB and fail the marker check.
+	t.Run("recover", func(t *testing.T) {
+		const n = 2000
+		cfg := SingleNodeConfig()
+		cfg.ComputeNodes = 2
+		d := NewDeployment(cfg)
+		d.Run(func() {
+			opts := smallTestOpts()
+			opts.Durability = DurabilitySync
+			db := mustOpenDB(t, d, RolePrimary, Placement{}, opts)
+			s := db.NewSession()
+			putRange(t, s, n)
+			// Acked but never flushed: only the remote log has it.
+			if err := s.Put([]byte("marker"), []byte("acked-unflushed")); err != nil {
+				t.Fatalf("Put(marker): %v", err)
+			}
+			d.Compute[0].Crash()
+			s.Close()
+			db.Close()
+
+			db2 := mustOpenDB(t, d, RoleRecover, Placement{ComputeIdx: 1, Owner: 0}, opts)
+			wantRange(t, db2, n, 13, "after recovery")
+			s2 := db2.NewSession()
+			if v, err := s2.Get([]byte("marker")); err != nil || string(v) != "acked-unflushed" {
+				t.Fatalf("unflushed acked write lost: %q, %v", v, err)
+			}
+			s2.Close()
+			db2.Close()
 		})
-	}
+		d.Close()
+	})
+
+	// Scale-out: lease slots and log slots land where every other role
+	// expects them. A leased primary shuts a second one out, a secondary
+	// reads its published checkpoint, and a takeover from a third node
+	// fences the deposed primary and reads everything it acknowledged.
+	t.Run("leased", func(t *testing.T) {
+		const n = 2000
+		cfg := SingleNodeConfig()
+		cfg.ComputeNodes = 3
+		d := NewDeployment(cfg)
+		d.Run(func() {
+			opts := smallTestOpts()
+			opts.Durability = DurabilitySync
+			db := mustOpenDB(t, d, RolePrimary, Placement{Lease: true}, opts)
+			if _, err := OpenDB(d, RolePrimary, Placement{ComputeIdx: 1, Lease: true}, opts); !errors.Is(err, ErrLeaseHeld) {
+				t.Fatalf("second leased primary: %v, want ErrLeaseHeld", err)
+			}
+			s := db.NewSession()
+			putRange(t, s, n)
+			db.Flush()
+			if err := db.PublishCheckpoint(); err != nil {
+				t.Fatalf("PublishCheckpoint: %v", err)
+			}
+
+			sec := mustOpenDB(t, d, RoleSecondary, Placement{ComputeIdx: 1, Owner: 0}, opts)
+			wantRange(t, sec, n, 31, "on the secondary")
+			ss := sec.NewSession()
+			if err := ss.Put(tkey(0), nil); !errors.Is(err, ErrReadOnly) {
+				t.Fatalf("secondary Put: %v, want ErrReadOnly", err)
+			}
+			ss.Close()
+			sec.Close()
+
+			// The takeover deposes the live primary: its next write finds the
+			// fence moved and is never acknowledged.
+			nb := mustOpenDB(t, d, RoleTakeover, Placement{ComputeIdx: 2, Owner: 0}, opts)
+			if err := s.Put(tkey(n), []byte("late")); !errors.Is(err, ErrFenced) {
+				t.Fatalf("deposed primary Put: %v, want ErrFenced", err)
+			}
+			d.Compute[0].Crash()
+			s.Close()
+			db.Close()
+			wantRange(t, nb, n, 13, "after takeover")
+			nb.Close()
+		})
+		d.Close()
+	})
 }
 
-// TestOpenDBScaleoutCrossEquivalence: a shard group opened with the legacy
-// lease-holding primary is attachable and takeover-able through OpenDB —
-// lease slots and log slots land where the other path expects them.
-func TestOpenDBScaleoutCrossEquivalence(t *testing.T) {
-	const n = 2000
-	cfg := SingleNodeConfig()
-	cfg.ComputeNodes = 3
-	d := NewDeployment(cfg)
-	d.Run(func() {
-		opts := smallTestOpts()
-		opts.Durability = DurabilitySync
-		db, err := OpenPrimaryAt(d, 0, 0, d.Servers, opts, 1, nil)
-		if err != nil {
-			t.Fatalf("OpenPrimaryAt: %v", err)
-		}
-		s := db.NewSession()
-		for i := 0; i < n; i++ {
-			if err := s.Put(tkey(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
-				t.Fatalf("Put(%d): %v", i, err)
-			}
-		}
-		db.Flush()
-		if err := db.PublishCheckpoint(); err != nil {
-			t.Fatalf("PublishCheckpoint: %v", err)
-		}
-
-		// OpenDB-attached secondary reads the legacy primary's checkpoint.
-		sec, err := OpenDB(d, RoleSecondary, Placement{ComputeIdx: 1, Owner: 0}, opts)
-		if err != nil {
-			t.Fatalf("OpenDB secondary: %v", err)
-		}
-		ss := sec.NewSession()
-		for i := 0; i < n; i += 31 {
-			v, err := ss.Get(tkey(i))
-			if err != nil || string(v) != fmt.Sprintf("v%d", i) {
-				t.Fatalf("secondary Get(%d): %q, %v", i, v, err)
-			}
-		}
-		ss.Close()
-		sec.Close()
-
-		// OpenDB takeover deposes the legacy primary's leases.
-		d.Compute[0].Crash()
-		s.Close()
-		db.Close()
-		nb, err := OpenDB(d, RoleTakeover, Placement{ComputeIdx: 2, Owner: 0}, opts)
-		if err != nil {
-			t.Fatalf("OpenDB takeover: %v", err)
-		}
-		s2 := nb.NewSession()
-		for i := 0; i < n; i += 13 {
-			v, err := s2.Get(tkey(i))
-			if err != nil || string(v) != fmt.Sprintf("v%d", i) {
-				t.Fatalf("Get(%d) after takeover: %q, %v", i, v, err)
-			}
-		}
-		s2.Close()
-		nb.Close()
-	})
-	d.Close()
+// TestOpenDBRejectsMeaninglessCombinations: the role, placement and option
+// combinations one half of which used to be silently dropped are errors
+// that name both halves.
+func TestOpenDBRejectsMeaninglessCombinations(t *testing.T) {
+	d := NewDeployment(CloudLabConfig(2, 2))
+	defer d.Close()
+	sync := func(o *Options) { o.Durability = DurabilitySync }
+	for _, tc := range []struct {
+		name string
+		role Role
+		p    Placement
+		tune func(o *Options)
+		want []string
+	}{
+		{"index build without flush offload", RolePrimary, Placement{},
+			func(o *Options) { o.OffloadIndexBuild = true }, []string{"OffloadIndexBuild", "OffloadFlush"}},
+		{"filter without flush offload", RolePrimary, Placement{},
+			func(o *Options) { o.OffloadFilter = true }, []string{"OffloadFilter", "OffloadFlush"}},
+		{"flush offload on the FS transport", RolePrimary, Placement{},
+			func(o *Options) { o.OffloadFlush = true; o.Transport = TransportFS }, []string{"OffloadFlush", "Transport"}},
+		{"filter offload without a filter", RolePrimary, Placement{},
+			func(o *Options) { o.OffloadFlush, o.OffloadFilter, o.BitsPerKey = true, true, -1 }, []string{"OffloadFilter", "BitsPerKey"}},
+		{"quorum ack without a replica", RolePrimary, Placement{},
+			func(o *Options) { sync(o); o.ReplAck = AckQuorum }, []string{"ReplAck", "Replica"}},
+		{"log-replay without a replica", RolePrimary, Placement{},
+			func(o *Options) { sync(o); o.ReplMode = ReplLogReplay }, []string{"ReplMode", "Replica"}},
+		{"replica without durability", RolePrimary, Placement{Servers: d.Servers[:1]},
+			func(o *Options) { o.Replica = d.Servers[1] }, []string{"Replica", "Durability"}},
+		{"replica on the tmpfs transport", RolePrimary, Placement{Servers: d.Servers[:1]},
+			func(o *Options) { sync(o); o.Replica = d.Servers[1]; o.Transport = TransportTmpfsRPC }, []string{"Replica", "Transport"}},
+		{"replica on the primary's own node", RolePrimary, Placement{Servers: d.Servers[:1]},
+			func(o *Options) { sync(o); o.Replica = d.Servers[0] }, []string{"Replica", "primary"}},
+		{"lease on a secondary", RoleSecondary, Placement{Lease: true}, sync, []string{"Placement.Lease", "RoleSecondary"}},
+		{"lease on a recovery", RoleRecover, Placement{Lease: true}, sync, []string{"Placement.Lease", "RoleRecover"}},
+		{"lease without durability", RolePrimary, Placement{Lease: true}, nil, []string{"Placement.Lease", "Durability"}},
+		{"auto-balance on a secondary", RoleSecondary, Placement{},
+			func(o *Options) { sync(o); o.AutoBalance = true }, []string{"AutoBalance", "RoleSecondary"}},
+		{"foreign owner without a lease", RolePrimary, Placement{Owner: 1}, nil, []string{"Owner 1", "ComputeIdx 0"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d.Run(func() {
+				opts := DefaultOptions()
+				if tc.tune != nil {
+					tc.tune(&opts)
+				}
+				db, err := OpenDB(d, tc.role, tc.p, opts)
+				if err == nil {
+					db.Close()
+					t.Fatal("opened")
+				}
+				for _, w := range tc.want {
+					if !strings.Contains(err.Error(), w) {
+						t.Errorf("error %q does not name %q", err, w)
+					}
+				}
+			})
+		})
+	}
+	if err := DefaultOptions().Validate(); err != nil {
+		t.Errorf("DefaultOptions: %v", err)
+	}
 }
 
 // TestOpenDBWALSlotsExceedLogRegion: four shards' default WAL slots
