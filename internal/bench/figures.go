@@ -229,6 +229,12 @@ func Fig11(n int, threads int) *Figure {
 // headroom — many concurrent scans saturate the wire at any depth. Each
 // point reports the prefetch telemetry.
 func FigScan(n, threads int) *Figure {
+	return figScan(n, threads, []int{256 << 10, 2 << 20}, []int{1, 2, 4, 8})
+}
+
+// figScan is FigScan over a chosen grid (TestFigScanOrdering runs the two
+// depths it asserts on, at the default ceiling).
+func figScan(n, threads int, chunks, depths []int) *Figure {
 	f := &Figure{Name: "Fig scan", Title: "pipelined scan prefetching: depth x chunk", XLabel: "depth"}
 	workloads := []struct {
 		label string
@@ -237,8 +243,6 @@ func FigScan(n, threads int) *Figure {
 		{"readseq", ReadSeq},
 		{"scanrandom", ScanRandom},
 	}
-	chunks := []int{256 << 10, 2 << 20}
-	depths := []int{1, 2, 4, 8}
 	for _, w := range workloads {
 		for _, chunk := range chunks {
 			s := Series{Label: fmt.Sprintf("dLSM %s, %dKB chunks", w.label, chunk>>10)}

@@ -148,9 +148,9 @@ func mixedTenants(cfg Config, limit float64) []service.TenantConfig {
 	// The scan tenant has to keep the memnode->compute link busy to be a
 	// noisy neighbour at all. YCSB-E's stock 100-entry scans stopped doing
 	// that once the default scan path quit fetching a 2 MiB chunk per table
-	// per seek, so analytics runs scans of up to 1 000 entries (the window
-	// ramps to ~200 KiB reads that point reads queue behind) from twice the
-	// frontend's clients.
+	// per seek, so analytics runs scans of up to 1 000 entries (long enough
+	// for every table's window to ramp to reads of tens of KiB that point
+	// reads queue behind) from twice the frontend's clients.
 	scans := service.YCSB('E', cfg.KeyRange)
 	scans.MaxScanLen = 1000
 	analytics := service.TenantConfig{

@@ -43,15 +43,24 @@ func TestServiceReadSeqMatchesDirect(t *testing.T) {
 	}
 }
 
-// smokeCfg is the mixed-tenant scenario at test scale.
+// smokeCfg is the mixed-tenant scenario at test scale: the figure's client
+// counts (8 frontend, 16 analytics), a fifth of its operations.
 func smokeCfg() Config {
-	return Config{System: DLSM, Threads: 4, N: 20_000, KeyRange: 20_000, Lambda: 4}.Normalize()
+	return Config{System: DLSM, Threads: 16, N: 20_000, KeyRange: 20_000, Lambda: 4}.Normalize()
 }
 
 // TestMixedTenantAdmissionImprovesP99 is the acceptance headline at smoke
 // scale: rate-limiting the scan-heavy analytics tenant must strictly
 // improve the latency-sensitive frontend tenant's p99, and the analytics
 // tenant must actually feel the limit.
+//
+// Percentiles come from factor-2 histogram buckets, so "strictly" means a
+// whole bucket, which takes a saturated link. While scans abandoned most
+// of what they fetched, four scanning clients saturated it; since the
+// readahead bounds the waste they no longer do (p99 stayed in the 6.144 us
+// bucket, only p95 moved), so the test runs the tenant mix at the figure's
+// own client count, where sixteen scanners contend again, instead of
+// weakening the comparison.
 func TestMixedTenantAdmissionImprovesP99(t *testing.T) {
 	cfg := smokeCfg()
 	_, open := RunService(cfg, mixedTenants(cfg, 0), true)

@@ -127,10 +127,13 @@ type Options struct {
 
 	// PrefetchDepth is how many readahead chunk fetches a range scan keeps
 	// in flight per table iterator (the flush pipeline's multi-buffer
-	// design applied to the read path, internal/readahead): the chunk
-	// window starts at readahead.DefaultMinWindow after a seek and doubles
-	// on sequential advance up to PrefetchBytes. Default 2. 1 is the
-	// ablation: one synchronous PrefetchBytes chunk per table per seek.
+	// design applied to the read path, internal/readahead). What an
+	// iterator has fetched but not yet read stays within readahead.Floor
+	// plus half of what it has read since the seek, split evenly over the
+	// resident chunk and the fetches in flight, so chunks grow with the
+	// scan up to PrefetchBytes and a deeper pipeline means smaller chunks,
+	// not more abandoned bytes. Default 2. 1 is the ablation: one
+	// synchronous PrefetchBytes chunk per table per seek.
 	// Only the native one-sided transport pipelines; FS and tmpfs reads
 	// stay synchronous at any depth.
 	PrefetchDepth int

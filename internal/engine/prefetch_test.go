@@ -103,10 +103,11 @@ func (r *readSizes) OnOp(op rdma.OpCode, from, to, bytes int) rdma.Fault {
 func (r *readSizes) LinkFactors(from, to int, now sim.Time) (float64, float64) { return 1, 1 }
 
 // The default scan path's waste bound, end to end: with DefaultOptions'
-// depth and window floor, a scan of any length prefetches at most twice
-// the chunk bytes it consumed plus Depth x MinWindow per table iterator
-// that fetched at all, and a 100-entry scan never posts a read over
-// 64 KiB — where depth 1 reads PrefetchBytes from every table it touches.
+// depth, a scan of any length prefetches at most 1.5x the bytes it read
+// plus readahead.Floor (and an entry of rounding per chunk) per table
+// iterator that fetched at all, and a 100-entry scan never posts a read
+// over 64 KiB — where depth 1 reads PrefetchBytes from every table it
+// touches.
 func TestDefaultScanWasteBound(t *testing.T) {
 	const n, valSize = 16_000, 400
 	opts := smallOpts()
@@ -131,7 +132,7 @@ func TestDefaultScanWasteBound(t *testing.T) {
 		db.cn.Fabric().SetInjector(reads)
 		defer db.cn.Fabric().SetInjector(nil)
 		m := db.m.scan
-		slack := int64(db.opts.PrefetchDepth * (readahead.DefaultMinWindow + valSize + 64))
+		slack := int64(readahead.Floor + (db.opts.PrefetchDepth+1)*(valSize+64))
 		rng := rand.New(rand.NewSource(20230401))
 		for _, length := range []int{1, 10, 100, 10_000} {
 			for round := 0; round < 8; round++ {
@@ -156,8 +157,8 @@ func TestDefaultScanWasteBound(t *testing.T) {
 				if consumed < int64(length*valSize) {
 					t.Fatalf("scan(%d, %d) consumed %d chunk bytes", start, length, consumed)
 				}
-				if bound := 2*consumed + int64(lanes-lanes0)*slack; fetched > bound {
-					t.Errorf("scan(%d, %d): prefetched %d > 2 x %d consumed + %d fetching tables x %d",
+				if bound := consumed + consumed/2 + int64(lanes-lanes0)*slack; fetched > bound {
+					t.Errorf("scan(%d, %d): prefetched %d > 1.5 x %d consumed + %d fetching tables x %d",
 						start, length, fetched, consumed, lanes-lanes0, slack)
 				}
 				if big := reads.largest.Load(); length <= 100 && big > 64<<10 {

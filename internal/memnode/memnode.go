@@ -140,7 +140,7 @@ type jobState struct {
 	reply    []byte
 	err      error
 	outputs  []*sstable.Meta // self-allocated extents, freed on cancel
-	waiters  []chan struct{} // duplicate deliveries parked while running
+	waiters  []*sim.Gate     // duplicate deliveries parked while running
 }
 
 // jobCacheCap bounds the dedupe table; completed jobs are evicted FIFO.
@@ -481,11 +481,10 @@ func (s *Server) withJobDedupe(jobID uint64, run func() ([]byte, []*sstable.Meta
 	if st, ok := s.jobs[jobID]; ok {
 		s.deduped.Inc()
 		if !st.done {
-			ch := make(chan struct{})
-			st.waiters = append(st.waiters, ch)
+			g := sim.NewGate()
+			st.waiters = append(st.waiters, g)
 			s.jobMu.Unlock()
-			s.env.Clock().Block("memnode.job")
-			<-ch
+			s.env.Clock().Park("memnode.job", g)
 			s.jobMu.Lock()
 		}
 		reply, jerr := st.reply, st.err
@@ -514,8 +513,8 @@ func (s *Server) withJobDedupe(jobID uint64, run func() ([]byte, []*sstable.Meta
 	st.waiters = nil
 	s.evictJobsLocked()
 	s.jobMu.Unlock()
-	for _, ch := range waiters {
-		s.env.Clock().Ready("memnode.job", ch)
+	for _, g := range waiters {
+		s.env.Clock().Ready("memnode.job", g)
 	}
 	return reply, err
 }

@@ -27,10 +27,10 @@ type MemoryRegion struct {
 	watchers []*mrWatcher
 }
 
-// mrWatcher is one parked poller: either a plain channel wait (no
+// mrWatcher is one parked poller: either a plain gate (no
 // deadline) or a cancellable alarm (deadline), woken by the next write.
 type mrWatcher struct {
-	ch    chan struct{} // nil when alarm is set
+	gate  *sim.Gate // nil when alarm is set
 	alarm *sim.Alarm
 }
 
@@ -40,7 +40,7 @@ func (r *MemoryRegion) wake(w *mrWatcher) {
 		w.alarm.Cancel()
 		return
 	}
-	r.node.env().Clock().Ready("mr.poll", w.ch)
+	r.node.env().Clock().Ready("mr.poll", w.gate)
 }
 
 // RemoteAddr is a wire-transferable pointer into a registered region.
@@ -127,7 +127,7 @@ func (r *MemoryRegion) AwaitByteDeadline(off int, want byte, deadline sim.Time) 
 		if deadline > 0 {
 			w.alarm = env.Clock().NewAlarm(deadline, "mr.poll")
 		} else {
-			w.ch = make(chan struct{})
+			w.gate = sim.NewGate()
 		}
 		r.watchers = append(r.watchers, w)
 		r.mu.Unlock()
@@ -149,8 +149,7 @@ func (r *MemoryRegion) AwaitByteDeadline(off int, want byte, deadline sim.Time) 
 			}
 			// Canceled by a write: loop and recheck the flag.
 		} else {
-			env.Clock().Block("mr.poll")
-			<-w.ch
+			env.Clock().Park("mr.poll", w.gate)
 		}
 	}
 }

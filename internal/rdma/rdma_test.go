@@ -441,3 +441,28 @@ func TestLinkTelemetry(t *testing.T) {
 	})
 	env.Wait()
 }
+
+// A posted verb and its completion park the poster on the CQ and the QP
+// worker on the send queue; neither may cost the host an allocation, or a
+// scan cannot afford smaller fetches (EXPERIMENTS.md "-fig scan").
+func TestReadSyncAllocatesNothing(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("sync.Pool drops items under -race; allocation counts are meaningless")
+	}
+	env, f, cn, mn := testbed()
+	env.Run(func() {
+		defer f.Close()
+		remote := mn.Register(4096)
+		local := cn.Register(4096)
+		qp := cn.NewQP(mn)
+		n := testing.AllocsPerRun(200, func() {
+			if err := qp.ReadSync(local, 0, remote.Addr(0), 420); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != 0 {
+			t.Errorf("QP.ReadSync: %.2f allocs per round trip, want 0", n)
+		}
+	})
+	env.Wait()
+}

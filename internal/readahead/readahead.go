@@ -9,6 +9,11 @@
 // QP reserves wire time at post), so the network works while the iterator
 // burns CPU on parsing.
 //
+// What a scan has fetched but not yet read is bounded by what it has read
+// (see Scheduler): a scan that stops — most do, a few dozen entries into
+// each table — abandons everything still on the wire or resident, and on a
+// saturated link every abandoned byte is throughput lost to all scans.
+//
 // Determinism: the scheduler spawns no entities of its own — asynchrony
 // comes entirely from the QP's existing post/completion machinery, which
 // is already part of the deterministic cooperative scheduler.
@@ -23,12 +28,20 @@ import (
 	"dlsm/internal/telemetry"
 )
 
-// DefaultMinWindow is the adaptive window's starting chunk size: 16 KiB,
-// about 40 of the paper's 420-byte entries. A seek resets the window here,
-// so a short scan pays for a few small chunks instead of a multi-MB one;
-// smaller starts cost more round trips per scan, larger ones abandon more
-// bytes on a busy link (the -fig scan sweep in EXPERIMENTS.md).
-const DefaultMinWindow = 16 << 10
+// Floor is how many unread bytes a table iterator may hold before it has
+// read anything: about what it parses during one fetch round trip, the
+// least that lets the second fetch hide behind the first. One EDR round
+// trip (rdma.LinkParams.Latency, 1.7 us) is 14 entry parses
+// (sim.CostModel.EntryParse, 120 ns), 6 KB of the paper's 420-byte
+// entries; 4 KiB is the power of two below it, erring towards a stall —
+// paid once, by the scan that stalls — over bytes abandoned on a link
+// every scan shares. EXPERIMENTS.md "-fig scan" sweeps its neighbours.
+const Floor = 4 << 10
+
+// smallBuf is the pool's lower buffer class. A short scan's chunks are a
+// few KB each; registering a MaxWindow-sized (2 MiB) buffer for every one
+// of them is what a scan-heavy process's heap consists of.
+const smallBuf = 16 << 10
 
 // ErrClosed is returned by ReadAt on a closed scheduler.
 var ErrClosed = errors.New("readahead: scheduler closed")
@@ -45,20 +58,20 @@ type Metrics struct {
 // Pool owns what a DB's scan iterators share and recycle: registered
 // prefetch buffers (like the flush pipeline's free list: ibv_reg_mr is
 // expensive, so buffers are registered once and reused) and the scan
-// queue pairs the fetches are posted on. Chunks larger than the buffer
-// class (a single entry bigger than the max window) get a dedicated
-// registration, dropped on release.
+// queue pairs the fetches are posted on. Buffers come in two classes,
+// smallBuf and bufSize; chunks larger than bufSize (a single entry bigger
+// than the max window) get a dedicated registration, dropped on release.
 type Pool struct {
 	node, peer *rdma.Node
 	bufSize    int
 	m          Metrics
 
 	mu        sync.Mutex
-	free      []*rdma.MemoryRegion
-	allocated int     // pooled buffers registered
-	out       int     // of those, held by a scheduler or an abandoned fetch
-	lanes     []*lane // idle, possibly still draining abandoned fetches
-	taken     int     // takeLane calls: schedulers that fetched at all
+	free      [2][]*rdma.MemoryRegion // by class: smallBuf, bufSize
+	allocated int                     // pooled buffers registered
+	out       int                     // of those, held by a scheduler or an abandoned fetch
+	lanes     []*lane                 // idle, possibly still draining abandoned fetches
+	taken     int                     // takeLane calls: schedulers that fetched at all
 	closed    bool
 }
 
@@ -78,8 +91,8 @@ type lane struct {
 // NewPool creates a pool of bufSize-byte buffers registered on node for
 // fetches from peer.
 func NewPool(node, peer *rdma.Node, bufSize int, m Metrics) *Pool {
-	if bufSize < DefaultMinWindow {
-		bufSize = DefaultMinWindow
+	if bufSize < Floor {
+		bufSize = Floor
 	}
 	return &Pool{node: node, peer: peer, bufSize: bufSize, m: m}
 }
@@ -90,16 +103,25 @@ func (p *Pool) Get(n int) (mr *rdma.MemoryRegion, pooled bool) {
 	if n > p.bufSize {
 		return p.node.Register(n), false
 	}
+	class, size := p.class(n)
 	p.mu.Lock()
 	p.out++
-	if k := len(p.free) - 1; k >= 0 {
-		mr, p.free = p.free[k], p.free[:k]
+	if k := len(p.free[class]) - 1; k >= 0 {
+		mr, p.free[class] = p.free[class][k], p.free[class][:k]
 		p.mu.Unlock()
 		return mr, true
 	}
 	p.allocated++
 	p.mu.Unlock()
-	return p.node.Register(p.bufSize), true
+	return p.node.Register(size), true
+}
+
+// class picks the buffer class that holds n <= bufSize bytes.
+func (p *Pool) class(n int) (class, size int) {
+	if n <= smallBuf && smallBuf < p.bufSize {
+		return 0, smallBuf
+	}
+	return 1, p.bufSize
 }
 
 // Put releases a buffer obtained from Get.
@@ -118,7 +140,8 @@ func (p *Pool) Put(mr *rdma.MemoryRegion, pooled bool) {
 		p.node.Deregister(mr)
 		return
 	}
-	p.free = append(p.free, mr)
+	class, _ := p.class(mr.Size())
+	p.free[class] = append(p.free[class], mr)
 	p.mu.Unlock()
 }
 
@@ -192,29 +215,25 @@ func (p *Pool) reap(l *lane) {
 func (p *Pool) Close() {
 	p.mu.Lock()
 	free, lanes := p.free, p.lanes
-	p.free, p.lanes, p.closed = nil, nil, true
+	p.free, p.lanes, p.closed = [2][]*rdma.MemoryRegion{}, nil, true
 	p.mu.Unlock()
 	for _, l := range lanes {
 		p.reap(l)
 	}
-	for _, mr := range free {
-		p.node.Deregister(mr)
+	for _, class := range free {
+		for _, mr := range class {
+			p.node.Deregister(mr)
+		}
 	}
 }
 
 // Config wires a Scheduler to one table's data region.
 type Config struct {
-	Base  rdma.RemoteAddr // table data region
-	Size  int             // data region length in bytes
-	Pool  *Pool           // buffer and queue-pair source
-	Depth int             // max in-flight chunk fetches (the pipeline depth)
-
-	// MinWindow/MaxWindow bound the adaptive chunk size: the first fetch
-	// after a seek is MinWindow bytes, later ones grow with the bytes the
-	// run has consumed (see submitOne) up to MaxWindow. Defaults:
-	// DefaultMinWindow / MinWindow.
-	MinWindow int
-	MaxWindow int
+	Base      rdma.RemoteAddr // table data region
+	Size      int             // data region length in bytes
+	Pool      *Pool           // buffer and queue-pair source
+	Depth     int             // max in-flight chunk fetches (the pipeline depth)
+	MaxWindow int             // largest chunk a long scan ramps to; default Floor
 }
 
 // chunk is one buffer's residency: table bytes [lo, hi). An abandoned
@@ -227,13 +246,30 @@ type chunk struct {
 
 // Scheduler pipelines chunk fetches for one table iterator. It is not
 // safe for concurrent use — iterators are thread-local, like their QPs.
+//
+// Invariant: the bytes fetched but not yet read — the unread tail of the
+// resident chunk plus everything in flight — never exceed
+//
+//	Floor + (bytes read since the seek) / 2
+//
+// beyond one entry of rounding per chunk (chunks end on entry boundaries)
+// and a first request larger than Floor. Half, because then a scan that
+// stops anywhere has moved at most 1.5x what it read plus Floor per table,
+// while the budget — and with it the chunk size, 1/(2(Depth+1)) of what
+// has been read — still grows geometrically towards MaxWindow; a larger
+// share buys a faster ramp that only scans long enough not to need it
+// would see. Every fetch is sized at 1/(Depth+1) of the budget of the
+// moment it is posted: the budget only grows, so the Depth fetches in
+// flight plus the resident chunk fit it by construction, and a deeper
+// pipeline means smaller chunks, not more abandoned bytes.
 type Scheduler struct {
 	cfg  Config
 	m    *Metrics // the pool's
 	env  *sim.Env
 	plan func(off, want int) int
 
-	run    int   // chunk bytes consumed since the last seek; sizes the window
+	start  int   // where the run began: the offset of the last seek
+	mark   int   // the consumer has read the run's bytes below this offset
 	next   int   // next planned fetch offset; -1 = nothing planned
 	cur    chunk // resident chunk the consumer reads from
 	lane   *lane // posted fetches, FIFO (completion order); nil until the first
@@ -247,11 +283,8 @@ type Scheduler struct {
 // index); it must make progress (end > off) for every off < Size. A
 // scheduler that never fetches holds no queue pair and no buffer.
 func New(cfg Config, plan func(off, want int) int) *Scheduler {
-	if cfg.MinWindow <= 0 {
-		cfg.MinWindow = DefaultMinWindow
-	}
-	if cfg.MaxWindow < cfg.MinWindow {
-		cfg.MaxWindow = cfg.MinWindow
+	if cfg.MaxWindow < Floor {
+		cfg.MaxWindow = Floor
 	}
 	if cfg.Depth < 1 {
 		cfg.Depth = 1
@@ -265,10 +298,20 @@ func New(cfg Config, plan func(off, want int) int) *Scheduler {
 	}
 }
 
+// Consumed tells the scheduler the consumer has read resident bytes below
+// table offset upTo without coming back through ReadAt (sstable's window
+// slices entries out of the chunk it was handed). Report it before the
+// ReadAt or Close that gives the chunk up.
+func (s *Scheduler) Consumed(upTo int) {
+	if upTo > s.mark {
+		s.mark = upTo
+	}
+}
+
 // ReadAt makes [lo, hi) resident and returns the covering chunk plus its
 // start offset; the slice is valid until the next ReadAt or Close. A
-// request inside the pipelined run consumes the pipeline head; a request
-// outside it (a seek) resets the adaptive window and replans from lo.
+// request inside the pipelined run consumes the pipeline head and posts
+// the next fetch; a request outside it (a seek) starts a new run at lo.
 func (s *Scheduler) ReadAt(lo, hi int) ([]byte, int, error) {
 	if s.err != nil {
 		return nil, 0, s.err
@@ -280,7 +323,7 @@ func (s *Scheduler) ReadAt(lo, hi int) ([]byte, int, error) {
 		return nil, lo, nil
 	}
 	if s.cur.mr != nil && lo >= s.cur.lo && hi <= s.cur.hi {
-		s.fill()
+		s.Consumed(hi)
 		return s.slice(), s.cur.lo, nil
 	}
 	if s.lane == nil {
@@ -297,51 +340,39 @@ func (s *Scheduler) ReadAt(lo, hi int) ([]byte, int, error) {
 		}
 	}
 	if hit < 0 {
-		// Miss: the request is outside everything posted. Reset the
-		// window and replan from lo. The covering chunk is posted FIRST —
-		// appending behind the abandoned fetches (this scheduler's, or the
-		// lane's previous owner's) keeps QP FIFO order while its wire time
-		// overlaps their (already paid) drain.
+		// Miss: the request is outside everything posted, so a new run
+		// starts at lo with nothing read. The covering chunk is posted
+		// FIRST — appending behind the abandoned fetches (this
+		// scheduler's, or the lane's previous owner's) keeps QP FIFO order
+		// while its wire time overlaps their (already paid) drain.
 		hit = len(s.lane.q)
-		s.run = 0
-		s.next = lo
-		s.submitOne(hi - lo)
+		s.start, s.next = lo, lo
+		s.submitOne(lo, hi-lo)
 	}
 	for i := 0; i < hit; i++ {
 		c := s.awaitHead()
 		s.m.BytesWasted.Add(int64(c.hi - c.lo))
 		s.release(c)
 	}
-	s.release(s.cur)
+	s.releaseCur()
 	s.cur = s.awaitHead()
 	if s.err != nil {
 		return nil, 0, s.err
 	}
-	s.run += s.cur.hi - s.cur.lo
-	s.fill()
+	for len(s.lane.q) < s.cfg.Depth && s.next >= 0 && s.next < s.cfg.Size {
+		s.submitOne(lo, 0)
+	}
+	s.mark = hi
 	return s.slice(), s.cur.lo, nil
 }
 
-// fill tops the pipeline up to Depth outstanding fetches.
-func (s *Scheduler) fill() {
-	for len(s.lane.q) < s.cfg.Depth && s.next >= 0 && s.next < s.cfg.Size {
-		s.submitOne(0)
-	}
-}
-
-// submitOne posts the next chunk fetch of at least minSpan bytes at the
-// current window size: 1/Depth of what the run has consumed, within
-// [MinWindow, MaxWindow]. The Depth fetches in flight therefore never
-// total more than the run has consumed plus Depth x MinWindow — closing or
-// seeking away abandons at most that — while a long scan still ramps
-// geometrically to MaxWindow chunks.
-func (s *Scheduler) submitOne(minSpan int) {
-	want := s.run / s.cfg.Depth
+// submitOne posts the next chunk fetch for a consumer now at table offset
+// pos: 1/(Depth+1) of the budget pos has earned (see Scheduler), at least
+// minSpan, at most MaxWindow.
+func (s *Scheduler) submitOne(pos, minSpan int) {
+	want := (Floor + (pos-s.start)/2) / (s.cfg.Depth + 1)
 	if want > s.cfg.MaxWindow {
 		want = s.cfg.MaxWindow
-	}
-	if want < s.cfg.MinWindow {
-		want = s.cfg.MinWindow
 	}
 	if minSpan > want {
 		want = minSpan
@@ -382,6 +413,16 @@ func (s *Scheduler) release(c chunk) {
 	s.cfg.Pool.Put(c.mr, c.pooled)
 }
 
+// releaseCur gives the resident chunk up; the tail the consumer never
+// reached was fetched for nothing.
+func (s *Scheduler) releaseCur() {
+	if unread := s.cur.hi - max(s.mark, s.cur.lo); unread > 0 {
+		s.m.BytesWasted.Add(int64(unread))
+	}
+	s.release(s.cur)
+	s.cur = chunk{}
+}
+
 // Close releases the resident buffer and parks the lane; it is idempotent
 // and never blocks. Fetches still in flight are abandoned: their bytes
 // count as wasted now, and whoever takes the lane next (or Pool.Close)
@@ -391,8 +432,7 @@ func (s *Scheduler) Close() {
 		return
 	}
 	s.closed = true
-	s.release(s.cur)
-	s.cur = chunk{}
+	s.releaseCur()
 	if s.lane == nil {
 		return
 	}

@@ -56,19 +56,28 @@ func withRig(t *testing.T, size, poolBuf int, fn func(r *rig)) {
 
 // sched builds a depth-deep scheduler over the rig's region with simple
 // size-capped chunk planning (requests stay entry-aligned in these tests).
-func (r *rig) sched(depth, minW, maxW int) *Scheduler {
+func (r *rig) sched(depth, maxW int) *Scheduler {
+	return r.schedEntries(depth, maxW, 1, nil)
+}
+
+// schedEntries is sched with chunks rounded up to whole entry-byte entries,
+// as sstable.Reader.chunkEnd plans them; posted, when set, sees every
+// chunk size.
+func (r *rig) schedEntries(depth, maxW, entry int, posted func(n int)) *Scheduler {
 	size := len(r.data)
 	return New(Config{
 		Base:      r.base,
 		Size:      size,
 		Pool:      r.pool,
 		Depth:     depth,
-		MinWindow: minW,
 		MaxWindow: maxW,
 	}, func(off, want int) int {
-		end := off + want
+		end := off + (want+entry-1)/entry*entry
 		if end > size {
 			end = size
+		}
+		if posted != nil {
+			posted(end - off)
 		}
 		return end
 	})
@@ -108,138 +117,139 @@ func TestPoolRecyclesLIFO(t *testing.T) {
 	})
 }
 
-// Sequential consumption must deliver exact bytes, keep at most Depth
-// fetches (and so at most Depth+1 buffers) alive, and prefetch every byte
-// exactly once.
-func TestSchedulerSequentialDelivery(t *testing.T) {
-	const size, entry = 64 << 10, 64
-	withRig(t, size, 4<<10, func(r *rig) {
-		s := r.sched(4, 1<<10, 4<<10)
-		for off := 0; off < size; off += entry {
-			b, lo, err := s.ReadAt(off, off+entry)
-			if err != nil {
-				t.Fatalf("ReadAt(%d): %v", off, err)
+// The scheduler's contract over seeded random seek / advance / skip / close
+// sequences, scan after scan on one pool so each inherits the lane its
+// predecessor abandoned fetches on: every byte handed out is the table's;
+// what was prefetched and not wasted is exactly what was handed out (so
+// nothing is fetched twice, dropped or double-counted); fetched-but-unread
+// bytes stay within Floor + half of what the run has read (plus one entry
+// of rounding per chunk); Close never blocks; and the pool's buffers and
+// lanes balance once everything is closed.
+func TestSchedulerProperties(t *testing.T) {
+	const size = 8 << 20
+	for seed := int64(1); seed <= 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		depth := []int{1, 2, 4, 8}[rng.Intn(4)]
+		entry := []int{64, 420, 4096}[rng.Intn(3)]
+		maxW := []int{Floor, 64 << 10, 256 << 10}[rng.Intn(3)]
+		withRig(t, size, maxW, func(r *rig) {
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("seed %d (depth %d, entry %d, maxW %d): %s",
+					seed, depth, entry, maxW, fmt.Sprintf(format, args...))
 			}
-			if got := b[off-lo : off-lo+entry]; !bytes.Equal(got, r.data[off:off+entry]) {
-				t.Fatalf("bytes mismatch at %d", off)
+			type scan struct {
+				s                 *Scheduler
+				start, pos        int   // current run and the next contiguous offset
+				returned, skipped int64 // bytes handed out / jumped over inside the pipeline
+				p0, w0            int64 // the pool's counters when the scan opened
 			}
-			if g := r.m.Inflight.Load(); g < 0 || g > 4 {
-				t.Fatalf("inflight gauge out of range: %d", g)
+			open := func() *scan {
+				return &scan{s: r.schedEntries(depth, maxW, entry, nil), pos: -1,
+					p0: r.m.BytesPrefetched.Load(), w0: r.m.BytesWasted.Load()}
 			}
-		}
-		s.Close()
-		if got := r.m.BytesPrefetched.Load(); got != size {
-			t.Fatalf("bytes_prefetched = %d, want %d", got, size)
-		}
-		if wasted := r.m.BytesWasted.Load(); wasted != 0 {
-			t.Fatalf("sequential scan wasted %d bytes", wasted)
-		}
-		if alloc, _ := r.pool.Stats(); alloc > 5 {
-			t.Fatalf("pool allocated %d buffers for depth 4", alloc)
-		}
-	})
+			read := func(sc *scan, off int) {
+				b, lo, err := sc.s.ReadAt(off, off+entry)
+				if err != nil {
+					fail("ReadAt(%d): %v", off, err)
+				}
+				if !bytes.Equal(b[off-lo:off-lo+entry], r.data[off:off+entry]) {
+					fail("bytes mismatch at %d", off)
+				}
+				sc.returned += int64(entry)
+				sc.pos = off + entry
+			}
+			check := func(sc *scan) {
+				unread := r.m.BytesPrefetched.Load() - sc.p0 - (r.m.BytesWasted.Load() - sc.w0) - sc.returned
+				if unread < 0 {
+					fail("handed out %d bytes more than were fetched and kept", -unread)
+				}
+				bound := int64(Floor + (sc.pos-sc.start)/2 + (depth+1)*entry)
+				if unread-sc.skipped > bound {
+					fail("%d bytes fetched but unread at %d, %d into the run: bound %d",
+						unread-sc.skipped, sc.pos, sc.pos-sc.start, bound)
+				}
+				if g := r.m.Inflight.Load(); g < 0 || g > int64(depth) {
+					fail("inflight gauge %d", g)
+				}
+			}
+			const scans = 6
+			for i := 0; i < scans; i++ {
+				sc := open()
+				for op, ops := 0, 2+rng.Intn(12); op < ops; op++ {
+					switch k := rng.Intn(10); {
+					case sc.pos < 0 || k < 3:
+						// Seek to where the scheduler must start a new run:
+						// before the resident chunk or past anything posted.
+						behind, ahead := sc.pos-maxW-2*entry, sc.pos+(depth+2)*(maxW+entry)
+						off := rng.Intn(size/entry) * entry
+						for sc.pos >= 0 && off >= behind && off < ahead {
+							off = rng.Intn(size/entry) * entry
+						}
+						sc.start = off
+						read(sc, off)
+					case k < 4 && sc.pos+8*entry < size: // skip a few entries ahead
+						n := 1 + rng.Intn(7)
+						sc.skipped += int64(n * entry)
+						read(sc, sc.pos+n*entry)
+					default: // advance
+						for n := 1 << rng.Intn(12); n > 0 && sc.pos+entry <= size; n-- {
+							read(sc, sc.pos)
+						}
+					}
+					check(sc)
+				}
+				t0 := r.env.Now()
+				sc.s.Close()
+				sc.s.Close()
+				if r.env.Now() != t0 {
+					fail("Close blocked")
+				}
+				useful := r.m.BytesPrefetched.Load() - sc.p0 - (r.m.BytesWasted.Load() - sc.w0)
+				if useful < sc.returned || useful > sc.returned+sc.skipped {
+					fail("prefetched - wasted = %d, handed out %d (+%d skipped)", useful, sc.returned, sc.skipped)
+				}
+			}
+			if taken, idle := r.pool.Lanes(); taken != scans || idle != 1 {
+				fail("lanes: %d taken, %d idle after %d sequential scans", taken, idle, scans)
+			}
+			r.pool.Close()
+			if alloc, free := r.pool.Stats(); alloc != free {
+				fail("pool: %d buffers registered, %d free after Close", alloc, free)
+			}
+			if g := r.m.Inflight.Load(); g != 0 {
+				fail("inflight gauge %d after Pool.Close", g)
+			}
+		})
+	}
 }
 
-// The adaptive window starts at MinWindow, tracks 1/Depth of the bytes
-// the run has consumed, and resets to MinWindow on a seek outside the
-// planned run.
-func TestSchedulerAdaptiveWindow(t *testing.T) {
-	const size, kb = 256 << 10, 1 << 10
-	withRig(t, size, 64<<10, func(r *rig) {
-		var wants []int
-		s := New(Config{
-			Base: r.base, Size: size,
-			Pool: r.pool, Depth: 2, MinWindow: kb, MaxWindow: 3 * kb,
-		}, func(off, want int) int {
-			wants = append(wants, want)
-			end := off + want
-			if end > size {
-				end = size
-			}
-			return end
+// A long scan still reaches MaxWindow chunks, and gets there geometrically:
+// a full pass costs few fetches more than one at MaxWindow throughout.
+func TestSchedulerRampsToMaxWindow(t *testing.T) {
+	const size, entry, maxW = 8 << 20, 420, 256 << 10
+	withRig(t, size, maxW, func(r *rig) {
+		fetches, largest := 0, 0
+		s := r.schedEntries(2, maxW, entry, func(n int) {
+			fetches++
+			largest = max(largest, n)
 		})
-		expect := func(what string, want ...int) {
-			t.Helper()
-			if fmt.Sprint(wants) != fmt.Sprint(want) {
-				t.Fatalf("%s wants = %v, want %v", what, wants, want)
-			}
-			wants = nil
-		}
-		read := func(off int) {
-			t.Helper()
-			if _, _, err := s.ReadAt(off, off+64); err != nil {
+		for off := 0; off+entry <= size; off += entry {
+			if _, _, err := s.ReadAt(off, off+entry); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// The covering chunk plus the Depth refills all post at MinWindow:
-		// nothing is consumed yet, so the initial burst stays small.
-		read(0)
-		expect("initial", kb, kb, kb)
-		// Chunks are [0,1) [1,2) [2,3) KiB; each advance posts one refill
-		// sized at half of what the run has consumed so far.
-		read(1 * kb) // consumed 2 KiB -> 1 KiB
-		read(2 * kb) // consumed 3 KiB -> 1.5 KiB
-		read(3 * kb) // consumed 4 KiB -> 2 KiB
-		expect("advance", kb, kb+kb/2, 2*kb)
-		read(4 * kb)      // consumed 5.5 KiB -> 2.75 KiB
-		read(5*kb + kb/2) // consumed 7.5 KiB -> capped at MaxWindow
-		expect("ramp", 2*kb+3*kb/4, 3*kb)
-		// Seek far outside the planned run: window must reset.
-		read(128 * kb)
-		expect("post-seek", kb, kb, kb)
-		if r.m.BytesWasted.Load() == 0 {
-			t.Fatal("seek abandoned no bytes")
-		}
 		s.Close()
-	})
-}
-
-// The waste bound the default scan path rests on: however long a scan
-// runs before it is closed, one table iterator prefetches at most twice
-// the chunk bytes it consumed plus Depth x MinWindow, and a scan of about
-// a hundred 420-byte entries never posts a read over 64 KiB.
-func TestSchedulerWasteBound(t *testing.T) {
-	const size, entry = 8 << 20, 420
-	rng := rand.New(rand.NewSource(20230401))
-	for _, depth := range []int{2, 4, 8} {
-		for _, entries := range []int{1, 10, 100, 10_000} {
-			withRig(t, size, 2<<20, func(r *rig) {
-				largest := 0
-				s := New(Config{
-					Base: r.base, Size: size, Pool: r.pool,
-					Depth: depth, MaxWindow: 2 << 20,
-				}, func(off, want int) int {
-					end := off + (want+entry-1)/entry*entry // whole entries
-					if end > size {
-						end = size
-					}
-					if end-off > largest {
-						largest = end - off
-					}
-					return end
-				})
-				start := rng.Intn(size/entry-entries) * entry
-				for i := 0; i < entries; i++ {
-					off := start + i*entry
-					if _, _, err := s.ReadAt(off, off+entry); err != nil {
-						t.Fatal(err)
-					}
-				}
-				s.Close()
-				fetched, wasted := r.m.BytesPrefetched.Load(), r.m.BytesWasted.Load()
-				consumed := fetched - wasted
-				// Chunks round up to whole entries: one entry of slack each.
-				bound := 2*consumed + int64(depth*(DefaultMinWindow+entry))
-				if consumed < int64(entries*entry) || fetched > bound {
-					t.Errorf("depth %d, %d entries: prefetched %d, consumed %d, bound %d",
-						depth, entries, fetched, consumed, bound)
-				}
-				if depth == 2 && entries <= 100 && largest > 64<<10 {
-					t.Errorf("%d-entry scan posted a %d-byte read", entries, largest)
-				}
-			})
+		if largest < maxW {
+			t.Fatalf("largest chunk %d, never reached MaxWindow %d", largest, maxW)
 		}
-	}
+		if most := size/maxW + 64; fetches > most {
+			t.Fatalf("%d fetches for a full pass, want at most %d", fetches, most)
+		}
+		if w := r.m.BytesWasted.Load(); w > entry {
+			t.Fatalf("a scan to the end wasted %d bytes", w)
+		}
+	})
 }
 
 // Close with fetches still in flight never blocks and spawns nothing: the
@@ -249,7 +259,7 @@ func TestSchedulerWasteBound(t *testing.T) {
 func TestSchedulerCloseParksLaneForNextTaker(t *testing.T) {
 	const size = 256 << 10
 	withRig(t, size, 8<<10, func(r *rig) {
-		s := r.sched(4, 8<<10, 8<<10)
+		s := r.sched(4, 8<<10)
 		if _, _, err := s.ReadAt(0, 64); err != nil {
 			t.Fatal(err)
 		}
@@ -265,18 +275,21 @@ func TestSchedulerCloseParksLaneForNextTaker(t *testing.T) {
 		if _, _, err := s.ReadAt(64, 128); err != ErrClosed {
 			t.Fatalf("ReadAt after Close = %v, want ErrClosed", err)
 		}
-		if w := r.m.BytesWasted.Load(); w != 4*8<<10 {
-			t.Fatalf("bytes_wasted after Close = %d, want %d", w, 4*8<<10)
+		// Everything fetched but the 64 bytes read: the resident chunk's
+		// tail and the four fetches in flight.
+		wasted := r.m.BytesPrefetched.Load() - 64
+		if w := r.m.BytesWasted.Load(); w != wasted {
+			t.Fatalf("bytes_wasted after Close = %d, want %d", w, wasted)
 		}
 		qps := r.cn.NumQPs()
 
 		// A scheduler that never reads takes no lane.
-		r.sched(2, 8<<10, 8<<10).Close()
+		r.sched(2, 8<<10).Close()
 		if g := r.m.Inflight.Load(); g != 4 {
 			t.Fatalf("idle scheduler touched the lane: inflight = %d", g)
 		}
 
-		s2 := r.sched(2, 8<<10, 8<<10)
+		s2 := r.sched(2, 8<<10)
 		b, lo, err := s2.ReadAt(128<<10, 128<<10+64)
 		if err != nil {
 			t.Fatal(err)
@@ -290,7 +303,7 @@ func TestSchedulerCloseParksLaneForNextTaker(t *testing.T) {
 		if g := r.m.Inflight.Load(); g != 2 {
 			t.Fatalf("inflight = %d after reaping, want the new pipeline's 2", g)
 		}
-		if w := r.m.BytesWasted.Load(); w != 4*8<<10 {
+		if w := r.m.BytesWasted.Load(); w != wasted {
 			t.Fatalf("inherited fetches counted as wasted twice: %d", w)
 		}
 		s2.Close()
@@ -314,7 +327,7 @@ func TestSchedulerDepthOverlaps(t *testing.T) {
 	elapsed := func(depth int) sim.Duration {
 		var d sim.Duration
 		withRig(t, size, 16<<10, func(r *rig) {
-			s := r.sched(depth, 16<<10, 16<<10)
+			s := r.schedEntries(depth, 16<<10, entry, nil)
 			t0 := r.env.Now()
 			for off := 0; off < size; off += entry {
 				if _, _, err := s.ReadAt(off, off+entry); err != nil {

@@ -336,9 +336,8 @@ type Notifier struct {
 // notifier loop, a drain, or the deadline alarm) and a requester that has
 // armed but not yet parked.
 type Waiter struct {
-	ch       chan struct{}
+	gate     *sim.Gate // requester is parked without a deadline (a Ready is owed)
 	alarm    *sim.Alarm
-	blocked  bool // requester is parked (Unblock on wake is owed)
 	signaled bool // a waker already decided this waiter's fate
 	timedOut bool
 }
@@ -379,7 +378,7 @@ func (n *Notifier) NewID() uint32 {
 // Arm registers the calling requester to be woken when a reply with its id
 // arrives. Arm before issuing the request; then block with Wait.
 func (n *Notifier) Arm(id uint32) *Waiter {
-	w := &Waiter{ch: make(chan struct{})}
+	w := &Waiter{}
 	n.mu.Lock()
 	n.armed[id] = w
 	n.mu.Unlock()
@@ -422,10 +421,10 @@ func (n *Notifier) Wait(id uint32, w *Waiter, deadline sim.Time) bool {
 		}
 		return !w.timedOut
 	}
-	w.blocked = true
+	g := sim.NewGate()
+	w.gate = g
 	n.mu.Unlock()
-	n.env.Clock().Block("rpc.sleep")
-	<-w.ch
+	n.env.Clock().Park("rpc.sleep", g)
 	return !w.timedOut
 }
 
@@ -436,13 +435,11 @@ func (n *Notifier) wakeLocked(w *Waiter) {
 	switch {
 	case w.alarm != nil:
 		w.alarm.Cancel()
-	case w.blocked:
-		n.env.Clock().Ready("rpc.sleep", w.ch)
-	default:
-		// Not parked yet: Wait (or Disarm) observes signaled and never
-		// blocks, so the scheduler is not involved.
-		close(w.ch)
+	case w.gate != nil:
+		n.env.Clock().Ready("rpc.sleep", w.gate)
 	}
+	// Otherwise not parked yet: Wait (or Disarm) observes signaled and
+	// never blocks, so the scheduler is not involved.
 }
 
 func (n *Notifier) loop() {

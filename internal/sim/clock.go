@@ -48,24 +48,42 @@ const (
 	waiterCanceled
 )
 
+// Gate is where one blocked entity's goroutine waits on the host. Every
+// park has exactly one receiver and exactly one wake, so the channel has
+// capacity 1 and is opened by a send, which leaves it empty: a gate is
+// reusable the moment its owner has passed it, and parking allocates
+// nothing. Obtain one with NewGate, publish it where the waker will find
+// it, then Park; the waker hands it to Clock.Ready.
+type Gate struct {
+	ch    chan struct{}
+	armed bool // a Ready is owed; set by NewGate, cleared by Ready under Clock.mu
+}
+
+func newGate() Gate { return Gate{ch: make(chan struct{}, 1)} }
+
+var gates = sync.Pool{New: func() any { g := newGate(); return &g }}
+
+// NewGate returns a recycled gate, armed for one Park/Ready pair. Park
+// recycles it, so the caller must drop every reference once Ready has been
+// called.
+func NewGate() *Gate {
+	g := gates.Get().(*Gate)
+	g.armed = true
+	return g
+}
+
 type waiter struct {
+	gate   Gate
 	at     Time
 	seq    uint64 // tie-break so equal timestamps wake FIFO
-	ch     chan struct{}
 	where  string // description for deadlock reports
 	state  int    // pending / fired / canceled
 	parked bool   // owner is inside Alarm.Wait (alarms only)
-	sleep  bool   // pooled Sleep/WaitUntil waiter: woken by a send, not a close
 }
 
-// sleepWaiters recycles the waiters of Sleep and WaitUntil, the kernel's
-// hottest allocation (one per modeled CPU charge). A sleep has exactly one
-// receiver, so its channel has capacity 1 and is woken by a send, which
-// leaves it empty and reusable; alarms and Ready gates can be observed by
-// a second party and keep close.
-var sleepWaiters = sync.Pool{New: func() any {
-	return &waiter{ch: make(chan struct{}, 1), sleep: true}
-}}
+// sleepWaiters recycles the waiters of Sleep and WaitUntil, one per
+// modeled CPU charge. Alarms are handed to their caller and stay unpooled.
+var sleepWaiters = sync.Pool{New: func() any { return &waiter{gate: newGate()} }}
 
 type waitHeap []*waiter
 
@@ -92,9 +110,9 @@ func (h *waitHeap) Pop() any {
 type Clock struct {
 	mu      sync.Mutex
 	now     Time
-	runners int             // entities currently dispatched (0 or 1)
-	blocked int             // entities blocked on non-clock sim primitives
-	ready   []chan struct{} // FIFO of runnable entities awaiting dispatch
+	runners int         // entities currently dispatched (0 or 1)
+	blocked int         // entities blocked on non-clock sim primitives
+	ready   ring[*Gate] // FIFO of runnable entities awaiting dispatch
 	seq     uint64
 	heap    waitHeap
 	stalled map[string]int // where -> count, for deadlock diagnostics
@@ -117,25 +135,42 @@ func (c *Clock) Now() Time {
 // dispatchLocked hands the run slot to the longest-ready entity.
 // Caller holds c.mu and has established runners == 0.
 func (c *Clock) dispatchLocked() {
-	ch := c.ready[0]
-	c.ready = c.ready[1:]
 	c.runners++
-	close(ch)
+	c.openLocked(c.ready.pop())
+}
+
+// openLocked lets the entity waiting at g run. A gate found already open
+// was woken twice — the second wake would otherwise surface later as a
+// spurious wakeup of whoever reuses the gate — so fail here, with c.mu
+// released for the deferred exits the panic unwinds through.
+func (c *Clock) openLocked(g *Gate) {
+	select {
+	case g.ch <- struct{}{}:
+	default:
+		c.mu.Unlock()
+		panic("sim: gate opened twice")
+	}
+}
+
+// pass waits at g until the scheduler opens it, then recycles it.
+func (g *Gate) pass() {
+	<-g.ch
+	gates.Put(g)
 }
 
 // join registers a new entity (spawned goroutine or Run driver) and
-// returns the gate channel that closes when the scheduler dispatches it.
-func (c *Clock) join() chan struct{} {
+// returns the gate the scheduler opens when it dispatches it.
+func (c *Clock) join() *Gate {
+	g := gates.Get().(*Gate)
 	c.mu.Lock()
-	ch := make(chan struct{})
-	c.ready = append(c.ready, ch)
+	c.ready.push(g)
 	// An idle simulation (no current runner) has nothing that will reach a
 	// dispatch point, so dispatch here; this is how the first entity starts.
 	if c.runners == 0 {
 		c.dispatchLocked()
 	}
 	c.mu.Unlock()
-	return ch
+	return g
 }
 
 // exit deregisters the running entity, dispatching the next one.
@@ -181,14 +216,15 @@ func (c *Clock) sleepUntilLocked(t Time, where string) {
 	if dead != "" {
 		panic("sim: deadlock — all entities blocked: " + dead)
 	}
-	<-w.ch
+	<-w.gate.ch
 	sleepWaiters.Put(w)
 }
 
-// Block parks the calling entity on an external primitive (mutex queue,
-// channel, ...). The primitive hands it back to the scheduler with Ready.
-// where describes the wait site for deadlock reports.
-func (c *Clock) Block(where string) {
+// Park blocks the calling entity on an external primitive (mutex queue,
+// channel, ...) until the primitive hands g to Ready. The caller obtained
+// g from NewGate and published it to its waker before parking; g is
+// recycled on return. where describes the wait site for deadlock reports.
+func (c *Clock) Park(where string, g *Gate) {
 	c.mu.Lock()
 	c.runners--
 	c.blocked++
@@ -198,20 +234,24 @@ func (c *Clock) Block(where string) {
 	if dead != "" {
 		panic("sim: deadlock — all entities blocked: " + dead)
 	}
+	g.pass()
 }
 
-// Ready marks an entity previously parked with Block as runnable: it joins
-// the dispatch queue and its channel ch closes when it is dispatched. The
+// Ready marks the entity parked (or about to park) at g as runnable: it
+// joins the dispatch queue and passes the gate when it is dispatched. The
 // waker keeps the run slot and continues; this is what keeps wake order a
-// function of program order rather than of host scheduling.
-func (c *Clock) Ready(where string, ch chan struct{}) {
+// function of program order rather than of host scheduling. A second
+// Ready for one park panics.
+func (c *Clock) Ready(where string, g *Gate) {
 	c.mu.Lock()
+	if !g.armed {
+		c.mu.Unlock()
+		panic("sim: Ready on a gate nobody is parked at (woken twice?): " + where)
+	}
+	g.armed = false
 	c.blocked--
 	c.stalled[where]--
-	if c.stalled[where] == 0 {
-		delete(c.stalled, where)
-	}
-	c.ready = append(c.ready, ch)
+	c.ready.push(g)
 	// Wakes from host (non-entity) code while the simulation is idle must
 	// dispatch here or the wake would be lost.
 	if c.runners == 0 {
@@ -229,7 +269,7 @@ func (c *Clock) maybeAdvanceLocked() (deadlock string) {
 	if c.runners > 0 || c.dead {
 		return ""
 	}
-	if len(c.ready) > 0 {
+	if c.ready.len() > 0 {
 		c.dispatchLocked()
 		return ""
 	}
@@ -254,11 +294,7 @@ func (c *Clock) maybeAdvanceLocked() (deadlock string) {
 	w.state = waiterFired
 	c.now = w.at
 	c.runners++
-	if w.sleep {
-		w.ch <- struct{}{}
-	} else {
-		close(w.ch)
-	}
+	c.openLocked(&w.gate)
 	return ""
 }
 
@@ -281,7 +317,7 @@ func (c *Clock) NewAlarm(t Time, where string) *Alarm {
 	if t < c.now {
 		t = c.now
 	}
-	w := &waiter{at: t, seq: c.seq, ch: make(chan struct{}), where: where}
+	w := &waiter{gate: newGate(), at: t, seq: c.seq, where: where}
 	c.seq++
 	heap.Push(&c.heap, w)
 	return &Alarm{c: c, w: w}
@@ -305,7 +341,7 @@ func (a *Alarm) Wait() bool {
 	if dead != "" {
 		panic("sim: deadlock — all entities blocked: " + dead)
 	}
-	<-a.w.ch
+	<-a.w.gate.ch
 	c.mu.Lock()
 	fired := a.w.state == waiterFired
 	c.mu.Unlock()
@@ -325,7 +361,7 @@ func (a *Alarm) Cancel() {
 	a.w.state = waiterCanceled
 	if a.w.parked {
 		// The owner is parked in Wait; hand it to the dispatch queue.
-		c.ready = append(c.ready, a.w.ch)
+		c.ready.push(&a.w.gate)
 		if c.runners == 0 {
 			c.dispatchLocked()
 		}
@@ -335,8 +371,10 @@ func (a *Alarm) Cancel() {
 
 func (c *Clock) stallReportLocked() string {
 	keys := make([]string, 0, len(c.stalled))
-	for k := range c.stalled {
-		keys = append(keys, k)
+	for k, n := range c.stalled {
+		if n != 0 { // Ready leaves drained sites in the map
+			keys = append(keys, k)
+		}
 	}
 	sort.Strings(keys)
 	var b strings.Builder

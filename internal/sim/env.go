@@ -41,7 +41,7 @@ func (e *Env) Go(fn func()) {
 	go func() {
 		defer e.wg.Done()
 		defer e.clock.exit()
-		<-gate
+		gate.pass()
 		fn()
 	}()
 }
@@ -55,7 +55,7 @@ func (e *Env) Run(fn func()) {
 	e.clock.mu.Lock()
 	e.clock.active++
 	e.clock.mu.Unlock()
-	<-e.clock.join()
+	e.clock.join().pass()
 	defer func() {
 		e.clock.mu.Lock()
 		e.clock.active--

@@ -9,7 +9,7 @@ type Mutex struct {
 	clock *Clock
 	mu    sync.Mutex
 	held  bool
-	queue []chan struct{}
+	queue ring[*Gate]
 }
 
 // NewMutex returns a Mutex bound to the environment's clock.
@@ -23,11 +23,10 @@ func (m *Mutex) Lock() {
 		m.mu.Unlock()
 		return
 	}
-	ch := make(chan struct{})
-	m.queue = append(m.queue, ch)
+	g := NewGate()
+	m.queue.push(g)
 	m.mu.Unlock()
-	m.clock.Block("mutex")
-	<-ch
+	m.clock.Park("mutex", g)
 }
 
 // TryLock acquires m if it is free, reporting whether it did.
@@ -48,15 +47,14 @@ func (m *Mutex) Unlock() {
 		m.mu.Unlock()
 		panic("sim: unlock of unlocked Mutex")
 	}
-	if len(m.queue) == 0 {
+	if m.queue.len() == 0 {
 		m.held = false
 		m.mu.Unlock()
 		return
 	}
-	ch := m.queue[0]
-	m.queue = m.queue[1:]
+	g := m.queue.pop()
 	m.mu.Unlock()
-	m.clock.Ready("mutex", ch) // ownership hands off; held stays true
+	m.clock.Ready("mutex", g) // ownership hands off; held stays true
 }
 
 // Cond is a condition variable whose waiters are simulated entities.
@@ -66,7 +64,7 @@ type Cond struct {
 	clock *Clock
 	name  string
 	mu    sync.Mutex
-	queue []chan struct{}
+	queue ring[*Gate]
 }
 
 // NewCond returns a condition variable using l as its lock.
@@ -81,38 +79,31 @@ func NewNamedCond(e *Env, l *Mutex, name string) *Cond {
 // Wait atomically releases c.L, parks the entity until Signal/Broadcast,
 // then reacquires c.L before returning.
 func (c *Cond) Wait() {
-	ch := make(chan struct{})
+	g := NewGate()
 	c.mu.Lock()
-	c.queue = append(c.queue, ch)
+	c.queue.push(g)
 	c.mu.Unlock()
 	c.L.Unlock()
-	c.clock.Block(c.name)
-	<-ch
+	c.clock.Park(c.name, g)
 	c.L.Lock()
 }
 
 // Signal wakes one waiter, if any.
 func (c *Cond) Signal() {
 	c.mu.Lock()
-	if len(c.queue) == 0 {
-		c.mu.Unlock()
-		return
+	if c.queue.len() > 0 {
+		c.clock.Ready(c.name, c.queue.pop())
 	}
-	ch := c.queue[0]
-	c.queue = c.queue[1:]
 	c.mu.Unlock()
-	c.clock.Ready(c.name, ch)
 }
 
 // Broadcast wakes all waiters.
 func (c *Cond) Broadcast() {
 	c.mu.Lock()
-	q := c.queue
-	c.queue = nil
-	c.mu.Unlock()
-	for _, ch := range q {
-		c.clock.Ready(c.name, ch)
+	for c.queue.len() > 0 {
+		c.clock.Ready(c.name, c.queue.pop())
 	}
+	c.mu.Unlock()
 }
 
 // WaitGroup mirrors sync.WaitGroup for simulated entities.
@@ -120,7 +111,7 @@ type WaitGroup struct {
 	clock *Clock
 	mu    sync.Mutex
 	n     int
-	queue []chan struct{}
+	queue []*Gate // drained whole, so a slice reused in place suffices
 }
 
 // NewWaitGroup returns a WaitGroup bound to the environment's clock.
@@ -134,15 +125,14 @@ func (w *WaitGroup) Add(delta int) {
 		w.mu.Unlock()
 		panic("sim: negative WaitGroup counter")
 	}
-	var q []chan struct{}
 	if w.n == 0 {
-		q = w.queue
-		w.queue = nil
+		for i, g := range w.queue {
+			w.clock.Ready("waitgroup", g)
+			w.queue[i] = nil
+		}
+		w.queue = w.queue[:0]
 	}
 	w.mu.Unlock()
-	for _, ch := range q {
-		w.clock.Ready("waitgroup", ch)
-	}
 }
 
 // Done decrements the counter by one.
@@ -155,9 +145,8 @@ func (w *WaitGroup) Wait() {
 		w.mu.Unlock()
 		return
 	}
-	ch := make(chan struct{})
-	w.queue = append(w.queue, ch)
+	g := NewGate()
+	w.queue = append(w.queue, g)
 	w.mu.Unlock()
-	w.clock.Block("waitgroup")
-	<-ch
+	w.clock.Park("waitgroup", g)
 }

@@ -33,11 +33,11 @@ type IterOpts struct {
 	Prefetch int
 	// Readahead, when non-nil with Depth > 1, pipelines chunk fetches on a
 	// scan queue pair so the network overlaps iteration CPU; chunks are
-	// planned on entry/block boundaries from the table index, with an
-	// adaptive window growing from MinWindow to Prefetch. The config is
-	// shared read-only by every table of a scan: Base, Size and MaxWindow
-	// are filled in per table. Nil (or Depth <= 1) is the synchronous path
-	// through the reader's Fetcher.
+	// planned on entry/block boundaries from the table index and sized by
+	// what the scan has read so far (readahead.Scheduler), up to Prefetch.
+	// The config is shared read-only by every table of a scan: Base, Size
+	// and MaxWindow are filled in per table. Nil (or Depth <= 1) is the
+	// synchronous path through the reader's Fetcher.
 	Readahead *readahead.Config
 }
 
@@ -70,6 +70,7 @@ type window struct {
 	ra       *readahead.Scheduler // built lazily from raCfg
 	chunk    []byte
 	lo, hi   int
+	mark     int // the iterator has read the chunk's bytes below this offset
 }
 
 // bytes returns table bytes [lo, hi), reading ahead by the prefetch
@@ -79,6 +80,9 @@ func (w *window) bytes(lo, hi int) ([]byte, error) {
 		if err := w.refill(lo, hi); err != nil {
 			return nil, err
 		}
+	}
+	if hi > w.mark {
+		w.mark = hi
 	}
 	return w.chunk[lo-w.lo : hi-w.lo], nil
 }
@@ -93,11 +97,12 @@ func (w *window) refill(lo, hi int) error {
 			}
 			w.ra = readahead.New(cfg, w.r.chunkEnd)
 		}
+		w.ra.Consumed(w.mark)
 		b, clo, err := w.ra.ReadAt(lo, hi)
 		if err != nil {
 			return err
 		}
-		w.chunk, w.lo, w.hi = b, clo, clo+len(b)
+		w.chunk, w.lo, w.hi, w.mark = b, clo, clo+len(b), lo
 		return nil
 	}
 	n := hi - lo
@@ -119,6 +124,7 @@ func (w *window) refill(lo, hi int) error {
 // makes sure none is built afterwards.
 func (w *window) Close() {
 	if w.ra != nil {
+		w.ra.Consumed(w.mark)
 		w.ra.Close()
 	}
 	w.ra, w.raCfg = nil, nil

@@ -8,6 +8,7 @@ import (
 	"dlsm/internal/rdma"
 	"dlsm/internal/readahead"
 	"dlsm/internal/sim"
+	"dlsm/internal/telemetry"
 )
 
 // entry is one KV pair for edge-case table construction.
@@ -37,6 +38,13 @@ func uniformEntries(n, valSize int) []entry {
 func remoteTable(t *testing.T, format Format, blockSize int, entries []entry,
 	fn func(env *sim.Env, r *Reader, newIter func(prefetch, depth int) Iterator)) {
 	t.Helper()
+	remoteTableMetrics(t, format, blockSize, entries, readahead.Metrics{}, fn)
+}
+
+// remoteTableMetrics is remoteTable with the scan pool's telemetry wired.
+func remoteTableMetrics(t *testing.T, format Format, blockSize int, entries []entry, m readahead.Metrics,
+	fn func(env *sim.Env, r *Reader, newIter func(prefetch, depth int) Iterator)) {
+	t.Helper()
 	var buf []byte
 	w := NewWriter(format, memSink{&buf}, blockSize, 10, Options{})
 	for i, e := range entries {
@@ -63,7 +71,7 @@ func remoteTable(t *testing.T, format Format, blockSize int, entries []entry,
 		}
 		qp := cn.NewQP(mn)
 		r := NewReader(meta, NewQPFetcher(qp, meta.Data), Options{})
-		pool := readahead.NewPool(cn, mn, 1<<20, readahead.Metrics{})
+		pool := readahead.NewPool(cn, mn, 1<<20, m)
 		newIter := func(prefetch, depth int) Iterator {
 			if depth <= 1 {
 				return r.NewIterator(prefetch)
@@ -203,6 +211,58 @@ func TestIterSeekScanPipelined(t *testing.T) {
 					}
 					sync.Close()
 					pipe.Close()
+				})
+		})
+	}
+}
+
+// What a closed scan prefetched and did not waste is what its iterator
+// read — from the first byte it asked for to the last, once: the window
+// reports how far into the resident chunk the iterator got, so the tail it
+// never reached counts as wasted like the fetches still in flight.
+func TestIterClosedScanCountsUnreadTailAsWasted(t *testing.T) {
+	entries := uniformEntries(2000, 100)
+	for _, format := range []Format{ByteAddr, Block} {
+		t.Run(format.String(), func(t *testing.T) {
+			reg := telemetry.NewRegistry(nil)
+			m := readahead.Metrics{BytesPrefetched: reg.Counter("prefetched"), BytesWasted: reg.Counter("wasted")}
+			remoteTableMetrics(t, format, 2<<10, entries, m,
+				func(env *sim.Env, r *Reader, newIter func(int, int) Iterator) {
+					lookup := func(i int) []byte {
+						return keys.AppendLookup(nil, []byte(entries[i].key), keys.MaxSeq)
+					}
+					// span is the table bytes the iterator asks for at entry
+					// i: its value (ByteAddr) or its whole block (Block).
+					span := func(i int) (lo, hi int) {
+						_, off, a, b := r.meta.Index.Record(r.meta.Index.SeekGE(lookup(i), keys.Compare))
+						if format == ByteAddr {
+							return int(off) + int(a), int(off) + int(a) + int(b)
+						}
+						return int(off), int(off) + int(a)
+					}
+					for _, scan := range [][2]int{{0, 1}, {100, 37}, {1500, 400}, {7, 150}} {
+						first, last := scan[0], scan[0]+scan[1]-1
+						p0, w0 := m.BytesPrefetched.Load(), m.BytesWasted.Load()
+						it := newIter(64<<10, 2)
+						it.SeekGE(lookup(first))
+						for i := first; ; i++ {
+							if !it.Valid() || string(it.Value()) != string(entries[i].val) {
+								t.Fatalf("scan from %d: entry %d missing or wrong", first, i)
+							}
+							if i == last {
+								break
+							}
+							it.Next()
+						}
+						it.Close()
+						lo, _ := span(first)
+						_, hi := span(last)
+						fetched := m.BytesPrefetched.Load() - p0
+						if got := fetched - (m.BytesWasted.Load() - w0); got != int64(hi-lo) {
+							t.Errorf("scan [%d, %d]: prefetched %d - wasted = %d, the iterator read %d",
+								first, last, fetched, got, hi-lo)
+						}
+					}
 				})
 		})
 	}

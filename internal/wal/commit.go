@@ -60,7 +60,7 @@ type doorbell struct {
 // ackWaiter is one sync writer parked in Commit until lsn is durable.
 type ackWaiter struct {
 	lsn  uint64
-	gate chan struct{}
+	gate *sim.Gate
 }
 
 // byteRing hands out contiguous byte ranges of a ring in FIFO order. A
@@ -239,7 +239,7 @@ func (l *Log) await(lsn uint64, park bool) error {
 	if park && l.durableLSN < lsn && !l.broken {
 		// A private gate, kept sorted by LSN: an acknowledgement wakes the
 		// writers it made durable, in LSN order, and nobody else.
-		w := ackWaiter{lsn: lsn, gate: make(chan struct{})}
+		w := ackWaiter{lsn: lsn, gate: sim.NewGate()}
 		i := len(l.waiters)
 		l.waiters = append(l.waiters, w)
 		for ; i > 0 && l.waiters[i-1].lsn > w.lsn; i-- {
@@ -247,8 +247,7 @@ func (l *Log) await(lsn uint64, park bool) error {
 		}
 		l.waiters[i] = w
 		l.mu.Unlock()
-		l.env.Clock().Block("wal.ack")
-		<-w.gate
+		l.env.Clock().Park("wal.ack", w.gate)
 		l.mu.Lock()
 	}
 	if l.durableLSN >= lsn {
