@@ -1,174 +1,51 @@
 package dlsm
 
-// One testing.B benchmark per evaluation figure (§XI). Each iteration runs
-// a scaled-down version of the figure's workload on the simulated testbed
-// and reports *virtual-time* throughput as the custom metric "vops/s" —
-// host ns/op only reflects how fast the simulation executes, while vops/s
-// reflects the modeled hardware and is the number compared against the
-// paper in EXPERIMENTS.md. Full sweeps: cmd/dlsm-bench.
+// One testing.B benchmark over the figure table (internal/bench.Figures):
+// for every figure, the first and last column of every series, scaled down.
+// Each iteration measures the cell on the simulated testbed and reports
+// *virtual-time* throughput as the custom metric "vops/s" — host ns/op only
+// reflects how fast the simulation executes, while vops/s reflects the
+// modeled hardware and is the number compared against the paper in
+// EXPERIMENTS.md. Full sweeps: cmd/dlsm-bench.
+//
+//	go test -run '^$' -bench 'Figure/7a' .
 
 import (
+	"fmt"
 	"testing"
 
 	"dlsm/internal/bench"
 )
 
-const benchN = 40_000
+const (
+	benchN       = 40_000
+	benchThreads = 16
+)
 
-// report runs one workload per b.N iteration and reports virtual
-// throughput of the last run.
-func report(b *testing.B, run func() float64) {
-	b.Helper()
-	var tput float64
-	for i := 0; i < b.N; i++ {
-		tput = run()
+func BenchmarkFigure(b *testing.B) {
+	for i := range bench.Figures {
+		f := &bench.Figures[i]
+		for _, s := range f.Grid(benchN, []int{benchThreads}) {
+			cells := s.Cells
+			if len(cells) > 2 {
+				cells = []bench.Cell{cells[0], cells[len(cells)-1]}
+			}
+			for _, c := range cells {
+				b.Run(fmt.Sprintf("%s/%s/%s", f.ID, s.Label, c.X), func(b *testing.B) {
+					one := []bench.Series{{Label: s.Label, Cells: []bench.Cell{c}}}
+					for i := 0; i < b.N; i++ {
+						f.Measure(one, nil)
+					}
+					// A fill-then-read figure reports both passes.
+					for k, r := range one[0].Cells[0].R {
+						unit := "vops/s"
+						if k > 0 {
+							unit = fmt.Sprintf("pass%d-vops/s", k+1)
+						}
+						b.ReportMetric(r.Throughput, unit)
+					}
+				})
+			}
+		}
 	}
-	b.ReportMetric(tput, "vops/s")
-}
-
-func BenchmarkFig7aWriteNormalMode(b *testing.B) {
-	for _, sys := range []bench.System{bench.DLSM, bench.RocksRDMA8K, bench.NovaLSM, bench.Sherman} {
-		b.Run(sys.String(), func(b *testing.B) {
-			report(b, func() float64 {
-				return bench.FillRandom(bench.Config{System: sys, Threads: 16, N: benchN}).Throughput
-			})
-		})
-	}
-}
-
-func BenchmarkFig7bWriteBulkload(b *testing.B) {
-	for _, sys := range []bench.System{bench.DLSM, bench.RocksRDMA8K, bench.NovaLSM} {
-		b.Run(sys.String(), func(b *testing.B) {
-			report(b, func() float64 {
-				return bench.FillRandom(bench.Config{System: sys, Threads: 16, N: benchN, Bulkload: true}).Throughput
-			})
-		})
-	}
-}
-
-func BenchmarkFig8Read(b *testing.B) {
-	for _, sys := range []bench.System{bench.DLSM, bench.RocksRDMA8K, bench.MemoryRocks, bench.Sherman} {
-		b.Run(sys.String(), func(b *testing.B) {
-			report(b, func() float64 {
-				return bench.ReadRandom(bench.Config{System: sys, Threads: 16, N: benchN, KeyRange: benchN}).Throughput
-			})
-		})
-	}
-}
-
-func BenchmarkFig9DataSizes(b *testing.B) {
-	for _, n := range []int{benchN / 2, benchN, benchN * 2} {
-		b.Run(sizeLabel(n), func(b *testing.B) {
-			report(b, func() float64 {
-				return bench.FillRandom(bench.Config{System: bench.DLSM, Threads: 16, N: n, KeyRange: n}).Throughput
-			})
-		})
-	}
-}
-
-func BenchmarkFig10Mixed(b *testing.B) {
-	for _, v := range []struct {
-		name   string
-		lambda int
-	}{{"dLSM-1", 1}, {"dLSM-8", 8}} {
-		b.Run(v.name, func(b *testing.B) {
-			report(b, func() float64 {
-				return bench.Mixed(bench.Config{System: bench.DLSM, Threads: 16, N: benchN,
-					KeyRange: benchN, ReadRatio: 0.5, Lambda: v.lambda}).Throughput
-			})
-		})
-	}
-}
-
-func BenchmarkFig11ReadSeq(b *testing.B) {
-	for _, sys := range []bench.System{bench.DLSM, bench.RocksRDMA8K, bench.Sherman} {
-		b.Run(sys.String(), func(b *testing.B) {
-			report(b, func() float64 {
-				return bench.ReadSeq(bench.Config{System: sys, Threads: 4, N: benchN, KeyRange: benchN}).Throughput
-			})
-		})
-	}
-}
-
-func BenchmarkFig12NearDataCompaction(b *testing.B) {
-	for _, cores := range []int{1, 4, 12} {
-		b.Run(coresLabel(cores), func(b *testing.B) {
-			report(b, func() float64 {
-				return bench.FillRandom(bench.Config{System: bench.DLSM, Threads: 16, N: benchN,
-					MemoryCores: cores}).Throughput
-			})
-		})
-	}
-	b.Run("compute-side", func(b *testing.B) {
-		report(b, func() float64 {
-			return bench.FillRandom(bench.Config{System: bench.DLSM, Threads: 16, N: benchN,
-				DisableNearData: true}).Throughput
-		})
-	})
-}
-
-func BenchmarkFig13ByteAddressable(b *testing.B) {
-	for _, sys := range []bench.System{bench.DLSM, bench.DLSMBlock} {
-		b.Run(sys.String()+"/write", func(b *testing.B) {
-			report(b, func() float64 {
-				return bench.FillRandom(bench.Config{System: sys, Threads: 16, N: benchN, KeyRange: benchN}).Throughput
-			})
-		})
-		b.Run(sys.String()+"/read", func(b *testing.B) {
-			report(b, func() float64 {
-				return bench.ReadRandom(bench.Config{System: sys, Threads: 16, N: benchN, KeyRange: benchN}).Throughput
-			})
-		})
-	}
-}
-
-func BenchmarkFig14aScaleMemoryNodes(b *testing.B) {
-	for _, m := range []int{1, 4} {
-		b.Run(nodesLabel(m), func(b *testing.B) {
-			report(b, func() float64 {
-				r := bench.Fig14aPoint(benchN/2, m, 16)
-				return r.Throughput
-			})
-		})
-	}
-}
-
-func BenchmarkFig14bScaleComputeNodes(b *testing.B) {
-	for _, c := range []int{1, 4} {
-		b.Run(nodesLabel(c), func(b *testing.B) {
-			report(b, func() float64 {
-				r := bench.Fig14bPoint(benchN, c, 8)
-				return r.Throughput
-			})
-		})
-	}
-}
-
-func BenchmarkFig15MultiNode(b *testing.B) {
-	for _, x := range []int{1, 4} {
-		b.Run(nodesLabel(x), func(b *testing.B) {
-			report(b, func() float64 {
-				r := bench.Fig15Point(bench.DLSM, benchN/2, x, 8)
-				return r.Throughput
-			})
-		})
-	}
-}
-
-func sizeLabel(n int) string  { return "n=" + itoa(n) }
-func coresLabel(c int) string { return "cores=" + itoa(c) }
-func nodesLabel(n int) string { return "nodes=" + itoa(n) }
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

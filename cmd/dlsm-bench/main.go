@@ -8,8 +8,10 @@
 //	dlsm-bench -fig 7a [-n 200000] [-threads 1,2,4,8,16]
 //	dlsm-bench -fig all -n 100000
 //
-// Figures: 7a 7b 8 9 10 11 12 13 14a 14b 15 cache faults wal repl scan
-// scaleout offload rebalance ycsb all.
+// The figures are the entries of bench.Figures; run without arguments for
+// their ids. A figure that states a check (what it exists to show) is
+// checked after it prints whenever -n is large enough for the effect: one
+// "CHECK FAILED" line on stderr and exit status 1 when it does not hold.
 // Throughput is virtual-time based (see DESIGN.md); -n scales the paper's
 // 100M-key workloads down to laptop runtimes while preserving the
 // data:memtable:sstable ratios.
@@ -18,164 +20,84 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
 	"dlsm/internal/bench"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	var ids []string
+	for _, f := range bench.Figures {
+		ids = append(ids, f.ID)
+	}
+	known := strings.Join(ids, " ") + " all"
+
+	fs := flag.NewFlagSet("dlsm-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		fig     = flag.String("fig", "", "figure to reproduce: 7a 7b 8 9 10 11 12 13 14a 14b 15 cache faults wal repl scan scaleout offload rebalance ycsb all")
-		n       = flag.Int("n", 200_000, "operations per data point (paper: 100M)")
-		threads = flag.String("threads", "1,2,4,8,16", "thread counts for thread-sweep figures")
-		quiet   = flag.Bool("q", false, "suppress per-point progress output")
-		metrics = flag.Bool("metrics", true, "print a telemetry snapshot after each figure")
+		fig     = fs.String("fig", "", "figure to reproduce: "+known)
+		n       = fs.Int("n", 200_000, "operations per data point (paper: 100M)")
+		threads = fs.String("threads", "1,2,4,8,16", "thread counts for thread-sweep figures")
+		quiet   = fs.Bool("q", false, "suppress per-point progress output")
+		metrics = fs.Bool("metrics", true, "print a telemetry snapshot after each figure")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *fig == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
-	if !*quiet {
-		bench.Progress = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "  ... "+format+"\n", args...)
-		}
+		fs.Usage()
+		return 2
 	}
 
-	ths := parseInts(*threads)
-	figs := strings.Split(*fig, ",")
-	if *fig == "all" {
-		figs = []string{"7a", "7b", "8", "9", "10", "11", "12", "13", "14a", "14b", "15", "cache", "faults", "wal", "repl", "scan", "scaleout", "offload", "rebalance", "ycsb"}
-	}
-	for _, f := range figs {
-		runFigure(f, *n, ths, *metrics)
-	}
-}
-
-func runFigure(fig string, n int, threads []int, metrics bool) {
-	out := os.Stdout
-	// show prints a figure, optionally followed by its telemetry snapshot.
-	show := func(f *bench.Figure) {
-		f.Print(out)
-		if metrics {
-			f.PrintMetrics(out)
-		}
-	}
-	switch fig {
-	case "7a":
-		show(bench.Fig7a(n, threads))
-	case "7b":
-		show(bench.Fig7b(n, threads))
-	case "8":
-		show(bench.Fig8(n, threads))
-	case "9":
-		sizes := []int{n / 4, n / 2, n}
-		w, r, space := bench.Fig9(sizes, maxOf(threads))
-		show(w)
-		r.Print(out)
-		fmt.Fprintln(out, "\nRemote-memory space usage (§XI-C3):")
-		var systems []string
-		for s := range space {
-			systems = append(systems, s)
-		}
-		sort.Strings(systems)
-		for _, s := range systems {
-			fmt.Fprintf(out, "  %-24s %s\n", s, strings.Join(space[s], "  "))
-		}
-	case "10":
-		show(bench.Fig10(n, maxOf(threads), []float64{0, 0.05, 0.5, 0.95, 1.0}))
-	case "11":
-		show(bench.Fig11(n, 8))
-	case "12":
-		fig12 := bench.Fig12(n, []int{1, 2, 4, 8, 12}, []int{1, 8, 16})
-		fig12.Print(out)
-		fmt.Fprintln(out, "\nRemote CPU utilization per point:")
-		for _, s := range fig12.Series {
-			fmt.Fprintf(out, "  %-26s", s.Label)
-			for _, p := range s.Points {
-				fmt.Fprintf(out, "  %3.0f%%", p.R.RemoteCPUUtil*100)
-			}
-			fmt.Fprintln(out)
-		}
-	case "13":
-		show(bench.Fig13(n, maxOf(threads)))
-	case "14a":
-		show(bench.Fig14a(n/4, []int{1, 2, 4, 8, 16}, maxOf(threads)))
-	case "14b":
-		show(bench.Fig14b(n, []int{1, 2, 4, 8}, 8))
-	case "cache":
-		show(bench.FigCache(n, maxOf(threads)))
-	case "faults":
-		show(bench.FigFaults(n, maxOf(threads)))
-	case "wal":
-		show(bench.FigWAL(n, maxOf(threads)))
-	case "repl":
-		show(bench.FigRepl(n, maxOf(threads)))
-	case "scan":
-		// Two scanning threads: latency hiding is visible when the wire has
-		// headroom; at 8+ threads concurrent scans saturate the link and
-		// every depth converges on its bandwidth ceiling.
-		show(bench.FigScan(n, 2))
-	case "offload":
-		// 16 writer threads: high write pressure keeps the flush pipeline
-		// busy, which is where the three offloaded layers spend compute CPU.
-		figOff := bench.FigOffload(n, 16)
-		figOff.Print(out)
-		fmt.Fprintln(out, "\nCPU utilization per point (compute / remote):")
-		for _, s := range figOff.Series {
-			fmt.Fprintf(out, "  %-10s", s.Label)
-			for _, p := range s.Points {
-				fmt.Fprintf(out, "  %4.1f%%/%4.1f%%", p.R.ComputeCPUUtil*100, p.R.RemoteCPUUtil*100)
-			}
-			fmt.Fprintln(out)
-		}
-	case "rebalance":
-		// 16 writer threads: the hot shard must stall-pressure its memtable
-		// pipeline for the split to pay off; the progress lines carry the
-		// balance.* decision counters per point.
-		show(bench.FigRebalance(n, 16))
-	case "ycsb":
-		// The full YCSB A-F matrix through the multi-tenant service tier,
-		// then the mixed-tenant scenario: admission control on the
-		// scan-heavy tenant must strictly improve the latency-sensitive
-		// tenant's p99.
-		bench.FigYCSB(n, maxOf(threads)).Print(out)
-	case "scaleout":
-		// 8 threads per compute node: one node leaves fabric headroom, so
-		// adding read-only secondaries must raise aggregate throughput.
-		show(bench.FigScaleout(n, 8))
-	case "15":
-		w, r := bench.Fig15(n/4, []int{1, 2, 4, 8}, 8)
-		show(w)
-		r.Print(out)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown figure %q\n", fig)
-		os.Exit(2)
-	}
-}
-
-func parseInts(s string) []int {
-	var out []int
-	for _, p := range strings.Split(s, ",") {
+	// Everything the arguments can get wrong is reported before the first
+	// figure runs: a sweep takes minutes.
+	var ths []int
+	for _, p := range strings.Split(*threads, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad thread count %q\n", p)
-			os.Exit(2)
+		if err != nil || v < 1 {
+			fmt.Fprintf(stderr, "bad thread count %q\n", p)
+			return 2
 		}
-		out = append(out, v)
+		ths = append(ths, v)
 	}
-	return out
-}
+	if *fig == "all" {
+		*fig = strings.Join(ids, ",")
+	}
+	var figs []*bench.Fig
+	for _, id := range strings.Split(*fig, ",") {
+		i := slices.Index(ids, id)
+		if i < 0 {
+			fmt.Fprintf(stderr, "unknown figure %q (known: %s)\n", id, known)
+			return 2
+		}
+		figs = append(figs, &bench.Figures[i])
+	}
 
-func maxOf(xs []int) int {
-	m := xs[0]
-	for _, x := range xs {
-		if x > m {
-			m = x
+	progress := func(line string) {
+		if !*quiet {
+			fmt.Fprintf(stderr, "  ... %s\n", line)
 		}
 	}
-	return m
+	status := 0
+	for _, f := range figs {
+		series := f.Measure(f.Grid(*n, ths), progress)
+		if f.Extra != nil {
+			series = append(series, f.Extra(series, progress)...)
+		}
+		f.Print(stdout, series, *metrics)
+		if f.Check == nil || *n < f.CheckFrom {
+			continue
+		}
+		if err := f.Check(series); err != nil {
+			fmt.Fprintf(stderr, "CHECK FAILED: -fig %s: %v\n", f.ID, err)
+			status = 1
+		}
+	}
+	return status
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // FaultScenarios lists the supported Config.FaultScenario values in the
-// order FigFaults sweeps them.
+// order -fig faults sweeps them.
 var FaultScenarios = []string{"none", "delay", "flap", "outage"}
 
 // applyFaults attaches a deterministic injector implementing
@@ -65,21 +65,4 @@ var faultFreePolicy = rpc.Policy{
 	Timeout:     500 * time.Microsecond,
 	MaxAttempts: 2,
 	Backoff:     100 * time.Microsecond,
-}
-
-// FigFaults measures dLSM random-write throughput under each injected
-// fault scenario (robustness figure: goodput under fault load). All
-// scenarios share one seed, so runs are individually reproducible.
-func FigFaults(n, threads int) *Figure {
-	f := &Figure{Name: "Fig F", Title: "fillrandom under injected faults (dLSM)", XLabel: "scenario"}
-	s := Series{Label: "dLSM"}
-	for _, sc := range FaultScenarios {
-		cfg := Config{System: DLSM, Threads: threads, N: n, FaultScenario: sc}
-		r := FillRandom(cfg)
-		s.Points = append(s.Points, Point{X: sc, R: r})
-		progress("faults %s: %s ops/s (compaction fallbacks: %d)", sc,
-			fmtTput(r.Throughput), r.Metrics.Counters["compaction.fallback"])
-	}
-	f.Series = []Series{s}
-	return f
 }

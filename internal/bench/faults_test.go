@@ -4,7 +4,7 @@ import "testing"
 
 func TestFaultScenariosRunToCompletion(t *testing.T) {
 	for _, sc := range FaultScenarios {
-		r := FillRandom(Config{System: DLSM, Threads: 4, N: smokeN / 3, FaultScenario: sc})
+		r := measure(Config{System: DLSM, Threads: 4, N: smokeN / 3, FaultScenario: sc}, FillRandom)
 		if r.Ops < int64(smokeN/3)*9/10 {
 			t.Fatalf("%s: ops = %d", sc, r.Ops)
 		}

@@ -1,121 +1,73 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
 	"dlsm/internal/engine"
 	"dlsm/internal/rdma"
+	"dlsm/internal/service"
 	"dlsm/internal/sim"
 )
 
 // Config describes one benchmark run. Zero fields take defaults.
 type Config struct {
-	System  System
+	System System
+	// Threads is the measured phase's thread count, in total: a point on c
+	// compute nodes runs Threads/c on each.
 	Threads int
 
 	N        int // total operations in the measured phase
-	KeyRange int // distinct keys (db_bench: same as N)
-	KeySize  int // default 20 (paper)
-	ValSize  int // default 400 (paper)
+	KeyRange int // distinct keys (default, as in db_bench: N)
 
 	ReadRatio float64 // mixed workloads: fraction of reads
 	Lambda    int     // dLSM shard count (§VII)
-	Bulkload  bool    // level0_stop_writes_trigger = infinity
 
 	// Zipf > 1 skews measured-phase key choice with a Zipf(s=Zipf)
 	// distribution whose ranks are scrambled across the key space (so hot
-	// keys spread over shards). <= 1 keeps the uniform db_bench draw,
-	// bit-identical to the pre-Zipf workloads.
+	// keys spread over shards). <= 1 is the uniform db_bench draw.
 	Zipf float64
 
 	// HotFrac > 0 draws that fraction of measured-phase keys from a hot
 	// band HotWidth (fraction of the keyspace) wide; the band's origin
 	// advances by HotShift at each third of a thread's run — the
-	// shifting-hotspot workload FigRebalance uses. 0 keeps the uniform
-	// draw bit-identical to the historical workloads.
+	// shifting-hotspot workload of -fig rebalance.
 	HotFrac  float64
 	HotWidth float64
 	HotShift float64
 
-	// AutoBalance turns on the elastic-sharding rebalancer (online split/
-	// merge/migrate, internal/balance); BalanceInterval overrides its
-	// decision tick. Off keeps the routing table static — every other
-	// figure byte-identical.
-	AutoBalance     bool
-	BalanceInterval time.Duration
+	// Options states the point's delta on the engine configuration: it
+	// runs last on the engine.Options the harness built for System, so a
+	// figure variant writes what it sweeps (durability, cache budget,
+	// offload layers, cost model, ...) on engine.Options itself and the
+	// harness mirrors none of it. The memory nodes take their cost model
+	// and log region from the built options, so the two cannot disagree.
+	// Nil is the system as the paper evaluates it.
+	Options func(*engine.Options)
 
-	// CacheBudgetBytes enables the compute-side hot-KV cache (0 = off,
-	// the historical behavior). Passed through to engine.Options.
-	CacheBudgetBytes int64
-
-	// PrefetchDepth and PrefetchBytes tune scan readahead (engine.Options
-	// passthrough). Depth 0 keeps the engine default of 2; depth 1 is the
-	// synchronous ablation (one PrefetchBytes read per table per seek);
-	// depth > 1 keeps that many chunk fetches in flight per table iterator.
-	// PrefetchBytes 0 keeps the engine's 2MB chunk ceiling.
-	PrefetchDepth int
-	PrefetchBytes int
-
-	// ScanLen is the entries per range scan in the scanrandom workload
-	// (default 100, db_bench seekrandom-style).
-	ScanLen int
-
-	DisableNearData bool // dLSM ablation: compact on the compute node instead
-
-	// Durability selects the remote write-ahead log mode (engine.Options):
-	// DurabilityNone (default) keeps every figure bit-identical to the
-	// pre-WAL runs; Async/Sync log each write over one-sided RDMA.
-	Durability engine.Durability
-	// WALPerWrite makes the log's commit path stop-and-wait: one record
-	// per doorbell, one doorbell in flight (the FigWAL ablation baseline).
-	WALPerWrite bool
-
-	// Costs overrides the CPU cost model on every node (engine and
-	// memnode). The zero value keeps sim.DefaultCosts — the calibration
-	// every existing figure uses. FigOffload sets nonzero IndexByte /
-	// FilterKey so the index- and filter-build layers become separately
-	// visible in CPU utilization.
-	Costs sim.CostModel
-
-	// Offload* push write-path layers to the memory node (engine.Options
-	// passthrough, the FigOffload ablation): flush serialization, block
-	// index build, and bloom-filter build. All false keeps the flush path
-	// bit-identical to the pre-offload figures.
-	OffloadFlush      bool
-	OffloadIndexBuild bool
-	OffloadFilter     bool
-
-	// ReplicationFactor mirrors every durable artifact onto a second
-	// memory node (internal/repl, the FigRepl sweep). 0 and 1 keep the
-	// single-copy layout bit-identical to the pre-replication figures; 2
-	// requires MemoryNodes >= 2 and Durability on, dedicates the last
-	// memory node as the passive replica, and acks on quorum. ReplMode
-	// picks the SSTable transfer mode: "" or "index" for index-only
-	// (primary clones extents to the replica), "log" for log-replay
-	// (the compute node reads back and re-writes, the FORTH baseline).
+	// ReplicationFactor 2 holds the last of MemoryNodes >= 2 back as the
+	// passive replica every durable artifact is mirrored onto, acked on
+	// quorum (internal/repl, -fig repl; needs Durability on). 0 and 1 are
+	// the single-copy layout.
 	ReplicationFactor int
-	ReplMode          string
 
-	// Cluster shape (Fig 12/14/15); zero means the single-node testbed.
+	// Cluster shape (Fig 12/14/15); zero means the single-node testbed: one
+	// 24-core compute node, one 12-core memory node, a 100 Gb/s link.
 	ComputeNodes int
 	MemoryNodes  int
 	ComputeCores int
 	MemoryCores  int
 	Link         rdma.LinkParams
 
-	// Preload is the number of keys filled before a read-only or mixed
-	// measurement (0 = KeyRange).
-	Preload int
-
 	// Warmup runs that many unmeasured operations of the configured mix
-	// before the measured phase (FigRebalance: lets the auto-balancer
+	// before the measured phase (-fig rebalance: lets the auto-balancer
 	// split the hot shard so the measurement sees the settled geometry).
-	// 0 — the default everywhere else — skips the phase entirely.
 	Warmup int
 
-	// FaultScenario injects faults during the run: "" (none), "delay"
+	// FaultScenario injects faults during the run: "" or "none", "delay"
 	// (probabilistic latency on verbs), "flap" (periodic link down/up
 	// between compute-0 and memory-0), or "outage" (repeated memnode RPC
 	// service crashes — data regions survive, compactions fall back
@@ -123,73 +75,54 @@ type Config struct {
 	// millisecond-scale fault windows.
 	FaultScenario string
 
-	// Seed for workload generation.
-	Seed int64
+	Seed int64 // workload generation
 }
 
-// Normalize fills defaults; all runners call it first.
+// The paper's 20-byte keys and 400-byte values, and db_bench seekrandom's
+// 100 entries per range scan, on every run.
+const (
+	keySize = 20
+	valSize = 400
+	scanLen = 100
+)
+
+// Normalize fills defaults; Run calls it first.
 func (c Config) Normalize() Config {
-	if c.Threads == 0 {
-		c.Threads = 16
-	}
-	if c.N == 0 {
-		c.N = 200_000
-	}
-	if c.KeyRange == 0 {
-		c.KeyRange = c.N
-	}
-	if c.KeySize < 12 {
-		c.KeySize = 20
-	}
-	if c.ValSize == 0 {
-		c.ValSize = 400
-	}
-	if c.Lambda == 0 {
-		c.Lambda = 1
-	}
-	if c.Preload == 0 {
-		c.Preload = c.KeyRange
-	}
-	if c.Seed == 0 {
-		c.Seed = 20230401
-	}
-	if c.ScanLen == 0 {
-		c.ScanLen = 100
-	}
+	c.Threads = cmp.Or(c.Threads, 16)
+	c.N = cmp.Or(c.N, 200_000)
+	c.KeyRange = cmp.Or(c.KeyRange, c.N)
+	c.Lambda = cmp.Or(c.Lambda, 1)
+	c.ComputeNodes = cmp.Or(c.ComputeNodes, 1)
+	c.MemoryNodes = cmp.Or(c.MemoryNodes, 1)
+	c.ComputeCores = cmp.Or(c.ComputeCores, 24)
+	c.MemoryCores = cmp.Or(c.MemoryCores, 12)
+	c.Link = cmp.Or(c.Link, rdma.EDR100())
+	c.Seed = cmp.Or(c.Seed, 20230401)
 	return c
 }
 
 // memTableSize scales the paper's 64MB MemTable/SSTable to the run's data
 // volume, preserving the data:memtable ratio (DESIGN.md §2).
 func (c Config) memTableSize() int64 {
-	data := int64(c.KeyRange) * int64(c.KeySize+c.ValSize)
-	size := data / 96 // paper: ~42GB data / 64MB memtable ~= 650; softened for small runs
-	if size < 256<<10 {
-		size = 256 << 10
-	}
-	if size > 64<<20 {
-		size = 64 << 20
-	}
-	return size
+	data := int64(c.KeyRange) * (keySize + valSize)
+	// paper: ~42GB data / 64MB memtable ~= 650; softened for small runs
+	return min(max(data/96, 256<<10), 64<<20)
 }
 
 // regionSize sizes each memory node's regions: live data plus transient
 // amplification headroom (obsolete tables awaiting GC, compaction slack).
 func (c Config) regionSize() int64 {
-	data := int64(c.KeyRange) * int64(c.KeySize+c.ValSize)
-	per := data*6/int64(max(1, c.MemoryNodes)) + 128<<20
-	return per
+	data := int64(c.KeyRange) * (keySize + valSize)
+	return data*6/int64(c.MemoryNodes) + 128<<20
 }
 
-// Key formats key i at the configured key size (db_bench-style fixed-width
-// decimal, shared by workloads and shard boundaries).
-func (c Config) Key(i int) []byte {
-	return []byte(fmt.Sprintf("%0*d", c.KeySize, i))
-}
+// keyOf formats key i (db_bench-style fixed-width decimal, shared by
+// workloads and shard boundaries).
+func keyOf(i int) []byte { return []byte(fmt.Sprintf("%0*d", keySize, i)) }
 
-// Value deterministically generates the value for key i.
-func (c Config) Value(i int) []byte {
-	v := make([]byte, c.ValSize)
+// valueOf deterministically generates the value for key i.
+func valueOf(i int) []byte {
+	v := make([]byte, valSize)
 	state := uint64(i)*0x9E3779B97F4A7C15 + 1
 	for j := range v {
 		state ^= state << 13
@@ -233,15 +166,9 @@ func (c Config) hotKey(r *rand.Rand, i, per int) int {
 	}
 	phase := 0
 	if per > 0 {
-		phase = 3 * i / per
-		if phase > 2 {
-			phase = 2
-		}
+		phase = min(3*i/per, 2)
 	}
-	width := int(float64(c.KeyRange) * c.HotWidth)
-	if width < 1 {
-		width = 1
-	}
+	width := max(1, int(float64(c.KeyRange)*c.HotWidth))
 	origin := int(float64(c.KeyRange) * (0.4 + float64(phase)*c.HotShift))
 	return (origin + r.Intn(width)) % c.KeyRange
 }
@@ -257,4 +184,157 @@ func scramble(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
+}
+
+// Workload selects the operation mix the thread loop measures. Every
+// workload but FillRandom starts from a preloaded, settled tree; the scan
+// workloads count entries, not operations.
+type Workload int
+
+const (
+	FillRandom Workload = iota // random writes into an empty tree ("fillrandom", Fig 7)
+	ReadRandom                 // random point reads ("readrandom", Fig 8)
+	Mixed                      // a read with probability Config.ReadRatio, else a write (Fig 10)
+	ReadSeq                    // every thread scans the whole table once ("readseq", Fig 11)
+	ScanRandom                 // scanLen-entry scans from uniform random start keys ("seekrandom")
+	ReadMostly                 // -fig scaleout's read-only mix: 95% Gets, 5% scanLen-entry scans
+)
+
+// spawn runs fn(0..n-1) as n simulated entities and waits for all of them.
+func spawn(env *sim.Env, n int, fn func(i int)) {
+	wg := sim.NewWaitGroup(env)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		env.Go(func() {
+			defer wg.Done()
+			fn(i)
+		})
+	}
+	wg.Wait()
+}
+
+// preload inserts keys [lo, hi) exactly once each (shuffled), with 16
+// loader threads, outside the measured window.
+func preload(env *sim.Env, cfg Config, db kvDB, lo, hi int, salt int64) {
+	const loaders = 16
+	perm := rand.New(rand.NewSource(cfg.Seed ^ salt)).Perm(hi - lo)
+	spawn(env, loaders, func(t int) {
+		s := db.NewSession()
+		defer s.Close()
+		for i := t; i < len(perm); i += loaders {
+			put(s, lo+perm[i])
+		}
+	})
+}
+
+// put panics on write errors: bench never sets StallTimeout or writes to
+// closed sessions, so any error here is an engine bug, not load shedding.
+func put(s service.Session, k int) {
+	if err := s.Put(keyOf(k), valueOf(k)); err != nil {
+		panic(fmt.Sprintf("bench: put: %v", err))
+	}
+}
+
+// thread is one thread of the measured (or warm-up) phase: a session on its
+// node's DB, a random stream, and the key slice lo+[0, cfg.KeyRange) it
+// draws from. It counts what it did and samples latencies.
+type thread struct {
+	env *sim.Env
+	cfg Config
+	lo  int
+	s   service.Session
+	rnd *rand.Rand
+	ops int64
+	lat []time.Duration
+}
+
+// runThreads fans workload w out over perNode threads on every node, per
+// operations each, and returns the operations done and the sampled
+// latencies. Thread t of node i draws from random stream i*64+t+stream:
+// stream 0 is the measured phase, and the spacing by 64 is what the
+// recorded multi-node figures ran with (a single node's threads are
+// streams 0..Threads-1 either way).
+func runThreads(env *sim.Env, cfg Config, w Workload, nodes []node, perNode, per, stream int) (ops int64, lat []time.Duration) {
+	threads := make([]thread, len(nodes)*perNode)
+	spawn(env, len(threads), func(k int) {
+		i, t := k/perNode, k%perNode
+		th := &threads[k]
+		*th = thread{env: env, cfg: cfg, lo: nodes[i].lo, rnd: cfg.threadRand(i*64 + t + stream)}
+		th.cfg.KeyRange = nodes[i].hi - nodes[i].lo
+		th.s = nodes[i].db.NewSession()
+		defer th.s.Close()
+		switch w {
+		case ReadSeq:
+			th.scan(nil, math.MaxInt, true)
+		case ScanRandom:
+			// Per-entry latency is sampled every 4th scan.
+			for j := 0; j < max(1, per/scanLen); j++ {
+				th.scan(th.key(), scanLen, j%4 == 0)
+			}
+		default:
+			th.opLoop(w, per)
+		}
+	})
+	for _, th := range threads {
+		ops += th.ops
+		lat = append(lat, th.lat...)
+	}
+	return ops, lat
+}
+
+// key draws a uniform key of the thread's slice.
+func (th *thread) key() []byte { return keyOf(th.lo + th.rnd.Intn(th.cfg.KeyRange)) }
+
+// opLoop executes per operations, sampling latency every 32nd. Key choice
+// is uniform, Zipf-skewed when cfg.Zipf > 1, or hot-banded when
+// cfg.HotFrac > 0.
+func (th *thread) opLoop(w Workload, per int) {
+	cfg := th.cfg
+	z := cfg.zipf(th.rnd)
+	for i := 0; i < per; i++ {
+		sample := i%32 == 0
+		var t0 sim.Time
+		if sample {
+			t0 = th.env.Now()
+		}
+		switch {
+		case w == ReadMostly && th.rnd.Float64() < 0.05:
+			// The coin comes before the key: the stream the recorded
+			// -fig scaleout numbers were drawn from.
+			th.scan(th.key(), scanLen, false)
+		case w == ReadMostly:
+			th.s.Get(th.key())
+			th.ops++
+		default:
+			var k int
+			if cfg.HotFrac > 0 {
+				k = th.lo + cfg.hotKey(th.rnd, i, per)
+			} else {
+				k = th.lo + cfg.nextKey(th.rnd, z)
+			}
+			if w == ReadRandom || (w == Mixed && th.rnd.Float64() < cfg.ReadRatio) {
+				th.s.Get(keyOf(k)) // misses are expected and counted (db_bench)
+			} else {
+				put(th.s, k)
+			}
+			th.ops++
+		}
+		if sample {
+			th.lat = append(th.lat, time.Duration(th.env.Now()-t0))
+		}
+	}
+}
+
+// scan visits up to n entries from start (nil: the first key), counting
+// them; a sampled scan records its latency per entry.
+func (th *thread) scan(start []byte, n int, sample bool) {
+	t0, cnt := th.env.Now(), 0
+	th.s.Scan(start, func(k, v []byte) bool {
+		cnt++
+		return cnt < n
+	})
+	th.ops += int64(cnt)
+	if sample && cnt > 0 {
+		th.lat = append(th.lat, time.Duration(th.env.Now()-t0)/time.Duration(cnt))
+	}
 }
