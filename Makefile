@@ -2,13 +2,14 @@
 # (see ROADMAP.md) plus a -race pass over the packages with the most
 # lock-free concurrency, a short fuzz of the recovery decoders, and the
 # repo benchmark's own vet + smoke test (a module of its own under
-# benchmarks/, which `./...` does not reach).
+# benchmarks/, which `./...` does not reach) and the runner contract the
+# pipeline drives it through.
 
 GO ?= go
 
-.PHONY: check build test vet nodeprecated race fuzz benchsmoke surface figdiff bench perf cache faults wal repl scan scaleout offload rebalance ycsb
+.PHONY: check build test vet nodeprecated race fuzz benchsmoke benchpreflight surface figdiff bench perf cache faults wal repl scan scaleout offload rebalance ycsb
 
-check: vet nodeprecated build test race fuzz benchsmoke
+check: vet nodeprecated build test race fuzz benchsmoke benchpreflight
 
 vet:
 	$(GO) vet ./...
@@ -121,6 +122,22 @@ figdiff:
 benchsmoke:
 	cd benchmarks/dlsm-perf && $(GO) vet ./... && $(GO) test ./...
 
+# The runner contract, not only the smoke test: the exact command the
+# pipeline runs for every workload of BENCHMARK.json and both --trace
+# values (benchmarks/run.py sets GOFLAGS=-mod=mod, GOPROXY=off and builds
+# into .bench_build/), half a second each. Any non-zero exit, or a last
+# line that is not a JSON object with "correct": true, fails.
+benchpreflight:
+	@mkdir -p .bench_build; out=.bench_build/preflight.out; \
+	for w in $$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do \
+		for tr in 0 1; do \
+			python3 benchmarks/run.py --workload $$w --seed 7 --seconds 0.5 --trace $$tr >$$out && \
+			tail -n 1 $$out | python3 -c 'import json,sys; sys.exit(json.load(sys.stdin).get("correct") is not True)' || \
+				{ echo "benchpreflight: --workload $$w --trace $$tr FAILED:" >&2; tail -n 3 $$out >&2; exit 1; }; \
+			echo "benchpreflight: --workload $$w --trace $$tr ok"; \
+		done; \
+	done
+
 # Hot-KV cache budget sweep (Zipf readrandom, cache off -> 64MB).
 cache:
 	$(GO) run ./cmd/dlsm-bench -fig cache -n 100000
@@ -151,10 +168,10 @@ repl:
 scan:
 	$(GO) run ./cmd/dlsm-bench -fig scan -n 100000
 
-# Write-path offload ablation (fillrandom, sync WAL): no offload, then
-# each layer cumulatively (flush serialization, +index build, +filter),
-# with compute and remote CPU per point. (The offloaded rows trail `off` on
-# throughput since PR 14: ROADMAP item 4 (b) tracks that regression.)
+# Flush-path ablation (fillrandom, sync WAL): `all` is what a DB with a log
+# does — the memory node builds the table from its log ring — and the other
+# columns move layers back to the compute node (filter, +index, the whole
+# flush), with compute and remote CPU per point.
 offload:
 	$(GO) run ./cmd/dlsm-bench -fig offload -n 100000
 

@@ -245,8 +245,7 @@ const (
 // identity under which log slots and shard leases are bound (nil
 // Placement.Servers means every memory node of d), and opts configures
 // each shard's engine. Combinations that cannot mean anything — a lease on
-// a secondary, an offload layer without the flush offload under it, an ack
-// policy with no replica — are errors, not ignored.
+// a secondary, an ack policy with no replica — are errors, not ignored.
 func OpenDB(d *Deployment, role Role, p Placement, opts Options) (*DB, error) {
 	if p.Servers == nil {
 		p.Servers = d.Servers

@@ -99,7 +99,6 @@ func engineOptions(cfg Config, lambda int) engine.Options {
 	o.FlushWorkers = max(1, 4/lambda)
 	o.CompactionWorkers = max(1, 12/lambda)
 	o.Subcompactions = 12
-	o.ReplyBufSize = 32 << 20
 
 	switch cfg.System {
 	case DLSMBlock:

@@ -260,12 +260,13 @@ var Figures = []Fig{
 		},
 	},
 	{ID: "offload", Name: "Fig Offload", Title: "write-path offload ablation (randomfill, sync WAL)", XLabel: "layers",
-		// The sync WAL is on so that an offloaded flush replays the
-		// memnode-resident log ring instead of re-shipping the memtable, and
+		// `all` is the flush path of every DB with a log: the memory node
+		// builds the table from its resident log ring. The other columns
+		// move layers back to the compute node (engine.FlushAblation), and
 		// the cost model gets nonzero IndexByte/FilterKey so the index and
 		// filter layers are separately visible in CPU utilization. 16
 		// writer threads: high write pressure keeps the flush pipeline
-		// busy, which is where the three offloaded layers spend compute CPU.
+		// busy, which is where the three layers spend compute CPU.
 		Base: func(c *Cell) {
 			c.Threads = 16
 			setOptions(c, func(o *engine.Options) {
@@ -274,32 +275,40 @@ var Figures = []Fig{
 			})
 		},
 		Rows: systems(DLSM),
-		Cols: fixed(named("off", nil), named("flush", offload(true, false, false)),
-			named("flush+index", offload(true, true, false)), named("all", offload(true, true, true))),
+		Cols: fixed(named("off", flushAblation(engine.FlushOnCompute)), named("flush", flushAblation(engine.FlushDataOnly)),
+			named("flush+index", flushAblation(engine.FlushDataAndIndex)), named("all", nil)),
 		Note: func(_ *Series, c *Cell) string {
 			r, m := c.R[0], c.R[0].Metrics.Counters
-			return fmt.Sprintf("%s (compute CPU %.1f%%, remote CPU %.1f%%, offloaded %d, replay %d, fallback %d)", throughputs(c),
-				r.ComputeCPUUtil*100, r.RemoteCPUUtil*100, m["offload.flushes"], m["offload.replay"], m["offload.fallback"])
+			return fmt.Sprintf("%s (compute CPU %.1f%%, remote CPU %.1f%%, flushes %d, built near data %d, fallback %d)", throughputs(c),
+				r.ComputeCPUUtil*100, r.RemoteCPUUtil*100, m["engine.flushes"], m["offload.flushes"], m["offload.fallback"])
 		},
 		Footer: utilization("CPU utilization per point (compute / remote):", "  %-10s", func(r Result) string {
 			return fmt.Sprintf("  %4.1f%%/%4.1f%%", r.ComputeCPUUtil*100, r.RemoteCPUUtil*100)
 		}),
-		// With all layers on, compute CPU sits strictly below the
-		// no-offload baseline's, and every offloaded flush was built from
-		// the log ring on the memory node with no compute-side fallback.
-		// (Throughput is not part of it: the offloaded rows trail `off`
-		// since PR 14 — ROADMAP item 4 (b).)
+		// With all layers near data, compute CPU sits strictly below the
+		// compute-side flush's, and every flush of the near-data columns
+		// was built from the log ring on the memory node with no
+		// compute-side fallback. Throughput is held to three quarters of
+		// `off`, not to parity: a near-data flush reads the log twice on
+		// the memory node, whose 12 cores it shares with compaction, and
+		// with 16 writers on one shard those cores are what the writers end
+		// up waiting for (0.97x `off` at -n 5000, 0.84x at 100000; with 16
+		// memory-node cores `all` leads `off` by 13% — ROADMAP 6 (c)).
 		CheckFrom: 5_000,
 		Check: func(series []Series) error {
 			s := &series[0]
-			if off, all := s.Cell("off").R[0].ComputeCPUUtil, s.Cell("all").R[0].ComputeCPUUtil; all >= off {
-				return fmt.Errorf("all layers offloaded use %.1f%% compute CPU, no offload %.1f%%: want strictly less", all*100, off*100)
+			off, all := s.Cell("off").R[0], s.Cell("all").R[0]
+			if all.ComputeCPUUtil >= off.ComputeCPUUtil {
+				return fmt.Errorf("all layers near data use %.1f%% compute CPU, the compute-side flush %.1f%%: want strictly less", all.ComputeCPUUtil*100, off.ComputeCPUUtil*100)
+			}
+			if all.Throughput < 0.75*off.Throughput {
+				return fmt.Errorf("all layers near data write %.0f ops/s, the compute-side flush %.0f: want at least three quarters of it", all.Throughput, off.Throughput)
 			}
 			for _, c := range s.Cells[1:] {
 				m := c.R[0].Metrics.Counters
-				if m["offload.fallback"] != 0 || m["offload.flushes"] == 0 || m["offload.replay"] != m["offload.flushes"] {
-					return fmt.Errorf("%s: %d offloaded flushes, %d replayed from the log ring, %d fell back: want all replayed, none fallen back",
-						c.X, m["offload.flushes"], m["offload.replay"], m["offload.fallback"])
+				if m["offload.fallback"] != 0 || m["offload.flushes"] == 0 || m["offload.flushes"] != m["engine.flushes"] {
+					return fmt.Errorf("%s: %d flushes, %d built from the log ring, %d fell back: want all built near data, none fallen back",
+						c.X, m["engine.flushes"], m["offload.flushes"], m["offload.fallback"])
 				}
 			}
 			return nil
@@ -447,8 +456,8 @@ func walMode(d engine.Durability, perWrite bool) func(c *Cell) {
 	return options(func(o *engine.Options) { o.Durability, o.WALPerWriteCommit = d, perWrite })
 }
 
-func offload(flush, index, filter bool) func(c *Cell) {
-	return options(func(o *engine.Options) { o.OffloadFlush, o.OffloadIndexBuild, o.OffloadFilter = flush, index, filter })
+func flushAblation(a engine.FlushAblation) func(c *Cell) {
+	return options(func(o *engine.Options) { o.FlushAblation = a })
 }
 
 // scanRow is one -fig scan series: a scan workload at a chunk ceiling.

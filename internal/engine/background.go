@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"time"
 
@@ -42,9 +44,11 @@ func (w *bgWorker) client() *rpc.Client {
 	return w.cli
 }
 
+// largeClient's reply region starts small: remoteJob sizes it for the metas
+// each call brings back (GrowReply), not for a worst case per thread.
 func (w *bgWorker) largeClient() *rpc.Client {
 	if w.largeCli == nil {
-		w.largeCli = rpc.NewClient(w.db.cn, w.db.mn, w.db.notifier, w.db.opts.ReplyBufSize)
+		w.largeCli = rpc.NewClient(w.db.cn, w.db.mn, w.db.notifier, 64<<10)
 	}
 	return w.largeCli
 }
@@ -101,31 +105,37 @@ func (db *DB) flushOne(w *bgWorker, mt *memtable.MemTable) {
 	// filter is ~10 bits/key.
 	capacity := mt.ApproximateSize() + mt.KeyBytes() + int64(mt.Len())*24 + 8<<10
 	var meta *sstable.Meta
-	offload := db.opts.OffloadFlush
+	// A DB with a log has the memory node build the table from the log ring
+	// it already holds; one without has nothing there to build from.
+	nearData := db.flushesNearData()
 	for attempt := 1; ; attempt++ {
 		var m *sstable.Meta
 		var err error
-		if offload {
-			m, err = db.flushRemote(w, mt, capacity)
-			if err != nil {
+		if nearData {
+			if m, err = db.flushRemote(w, mt, capacity); err != nil {
 				// Graceful degradation, mirroring compaction.fallback: the
-				// memory node's RPC service is unreachable, or the replay
-				// view was incomplete. The memtable is still here — build on
-				// the compute node instead, for this table and the rest of
-				// this flush's attempts.
+				// memory node's RPC service is unreachable, the log broke, or
+				// the memory node refused the descriptor. The memtable is
+				// still here — build on the compute node instead, for this
+				// table and the rest of this flush's attempts.
 				db.stats.OffloadFallbacks.Add(1)
-				offload = false
-				m, err = db.buildFlushTable(w, mt, capacity)
+				nearData = false
 			}
-		} else {
+		}
+		if !nearData {
 			m, err = db.buildFlushTable(w, mt, capacity)
 		}
 		if err == nil {
-			// Replicate before install (no-op without a replica): a
-			// checkpoint may name this table the moment it publishes, so its
-			// replica copy must exist first. On failure the extent is
-			// returned and the whole build retries.
-			if err = db.attachMirror(m); err == nil {
+			// Still the shard's owner (no-op without a lease)? A table a
+			// deposed primary installs is one no checkpoint will ever name:
+			// its extent would leak. Then replicate before install (no-op
+			// without a replica): a checkpoint may name this table the
+			// moment it publishes, so its replica copy must exist first. On
+			// failure the extent is returned and the whole build retries.
+			if err = db.wal.CheckFence(w.qp); err == nil {
+				err = db.attachMirror(m)
+			}
+			if err == nil {
 				meta = m
 				break
 			}
@@ -134,10 +144,11 @@ func (db *DB) flushOne(w *bgWorker, mt *memtable.MemTable) {
 		// The write failed (fabric fault, service outage). The MemTable is
 		// immutable, so the build can simply run again after a pause.
 		db.stats.FlushErrors.Add(1)
-		if db.storageDead() {
+		if db.storageDead() || errors.Is(err, ErrFenced) {
 			// Our own node — or a memory node acked writes depend on — is
-			// gone; retrying cannot succeed. Surrender the table so Close
-			// can still drain: recovery (or failover promotion) owns the
+			// gone, or the shard is another compute node's now; retrying
+			// cannot succeed. Surrender the table so Close can still drain:
+			// recovery (or failover promotion, or the new owner) owns the
 			// data now.
 			db.finishFlush(mt, nil)
 			return
@@ -152,6 +163,9 @@ func (db *DB) flushOne(w *bgWorker, mt *memtable.MemTable) {
 		db.env.Sleep(d)
 	}
 	db.stats.Flushes.Add(1)
+	if nearData {
+		db.stats.OffloadedFlushes.Add(1)
+	}
 	db.stats.BytesFlushed.Add(meta.Size)
 	db.finishFlush(mt, meta)
 }
@@ -440,7 +454,7 @@ func (db *DB) remoteJob(w *bgWorker, method string, jobID uint64, args []byte, r
 // the cancel itself times out and the job's outputs leak until the next
 // cancel or restart.
 func (db *DB) cancelRemoteJob(w *bgWorker, jobID uint64) {
-	args := appendU64(make([]byte, 0, 8), jobID)
+	args := binary.LittleEndian.AppendUint64(nil, jobID)
 	_, _ = w.client().CallPolicy("compact_cancel", args, db.opts.FreeRPC)
 }
 
@@ -574,22 +588,18 @@ func (db *DB) gcWorker() {
 
 	flushBatches := func(force bool) {
 		if len(remoteFrees) > 0 && (force || len(remoteFrees) >= gcBatch) {
-			if _, err := cli.CallPolicy("free", memnode.EncodeFrees(remoteFrees), db.opts.FreeRPC); err != nil {
+			if db.freeRemote(cli, remoteFrees) {
+				db.stats.RemoteFreeRPCs.Add(1)
+			} else {
 				// Retries exhausted: drop the batch rather than wedge the
 				// GC worker. The extents leak on the memory node until its
 				// service restarts; the counter records how much.
 				db.stats.GCDropped.Add(1)
-			} else {
-				db.stats.RemoteFreeRPCs.Add(1)
 			}
 			remoteFrees = remoteFrees[:0]
 		}
 		if len(fsFrees) > 0 && (force || len(fsFrees) >= gcBatch) {
-			args := make([]byte, 4, 4+8*len(fsFrees))
-			putU32(args, uint32(len(fsFrees)))
-			for _, id := range fsFrees {
-				args = appendU64(args, id)
-			}
+			args := memnode.EncodeFSFrees(db.freeBatchID(), fsFrees)
 			if _, err := cli.CallPolicy("fs_free", args, db.opts.FreeRPC); err != nil {
 				db.stats.GCDropped.Add(1)
 			}
@@ -615,6 +625,21 @@ func (db *DB) gcWorker() {
 	}
 }
 
+// freeBatchID names one free batch across its retries, so the memory node
+// applies it at most once: a retry after a lost reply must not free again
+// what another table may since have been given. instanceID keeps sibling
+// shards apart, as in compactRemote.
+func (db *DB) freeBatchID() uint64 {
+	return sim.Mix64(uint64(db.env.Seed()), uint64(db.cn.ID), db.instanceID, db.gcSeq.Add(1)) | 1
+}
+
+// freeRemote returns memory-node-created extents through the "free" RPC
+// and reports whether the memory node took the batch.
+func (db *DB) freeRemote(cli *rpc.Client, frees [][2]int64) bool {
+	_, err := cli.CallPolicy("free", memnode.EncodeFrees(db.freeBatchID(), frees), db.opts.FreeRPC)
+	return err == nil
+}
+
 func (db *DB) routeFree(m *sstable.Meta, remoteFrees *[][2]int64, fsFrees *[]uint64) {
 	db.stats.TablesFreed.Add(1)
 	if db.mirror != nil {
@@ -637,15 +662,4 @@ func (db *DB) routeFree(m *sstable.Meta, remoteFrees *[][2]int64, fsFrees *[]uin
 	default:
 		db.freeTableLocal(m)
 	}
-}
-
-func putU32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	for i := 0; i < 8; i++ {
-		b = append(b, byte(v>>(8*i)))
-	}
-	return b
 }

@@ -61,6 +61,7 @@ type DB struct {
 	immCount atomic.Int32
 	flushCh  *sim.Chan[*memtable.MemTable]
 	gcCh     *sim.Chan[*sstable.Meta]
+	gcSeq    atomic.Uint64 // free batches sent to the memory node (freeBatchID)
 	notifier *rpc.Notifier
 	wg       *sim.WaitGroup
 

@@ -22,7 +22,6 @@ func smallOpts() Options {
 	o.FlushWorkers = 2
 	o.CompactionWorkers = 2
 	o.Subcompactions = 4
-	o.ReplyBufSize = 4 << 20
 	return o
 }
 

@@ -61,15 +61,14 @@ func buildTables(t *testing.T, opts Options, n int) []tableSig {
 		for _, i := range perm {
 			s.Put(key(i), value(i))
 		}
+		nearData := db.flushesNearData()
 		db.Flush()
 		db.WaitForCompactions()
-		if opts.OffloadFlush {
-			if got := db.Stats().OffloadedFlushes.Load(); got == 0 {
-				t.Error("offload.flushes = 0 with OffloadFlush on")
-			}
-			if got := db.Stats().OffloadFallbacks.Load(); got != 0 {
-				t.Errorf("offload.fallback = %d on a healthy fabric, want 0", got)
-			}
+		if got, flushes := db.Stats().OffloadedFlushes.Load(), db.Stats().Flushes.Load(); nearData && got != flushes || !nearData && got != 0 {
+			t.Errorf("offload.flushes = %d of %d flushes with near-data flushing %v", got, flushes, nearData)
+		}
+		if got := db.Stats().OffloadFallbacks.Load(); got != 0 {
+			t.Errorf("offload.fallback = %d on a healthy fabric, want 0", got)
 		}
 		// Everything must still read back, whichever node built the tables.
 		for i := 0; i < n; i += 17 {
@@ -133,108 +132,110 @@ func compareTables(t *testing.T, name string, want, got []tableSig) {
 
 // TestOffloadFlushByteIdentity is the core acceptance check: a memnode-built
 // SSTable is byte-identical to the compute-built one for the same input,
-// across every per-layer ablation combination (which exercises both the
-// contiguous-prefix footer placement and compute-side footer completion).
+// for every FlushAblation value (which exercises both the footer placed on
+// the memory node and compute-side footer completion).
 func TestOffloadFlushByteIdentity(t *testing.T) {
 	const n = 3000
-	baseline := buildTables(t, offloadOpts(), n)
+	base := offloadOpts()
+	base.Durability = DurabilitySync
+	base.FlushAblation = FlushOnCompute
+	baseline := buildTables(t, base, n)
 	if len(baseline) == 0 {
 		t.Fatal("baseline produced no L0 tables; test exercises nothing")
 	}
 	for _, v := range []struct {
-		name     string
-		idx, flt bool
+		name string
+		a    FlushAblation
 	}{
-		{"index+filter", true, true},
-		{"index-only", true, false},
-		{"filter-only", false, true},
-		{"data-only", false, false},
+		{"data+index+filter", FlushNearData},
+		{"data+index", FlushDataAndIndex},
+		{"data-only", FlushDataOnly},
 	} {
-		opts := offloadOpts()
-		opts.OffloadFlush = true
-		opts.OffloadIndexBuild = v.idx
-		opts.OffloadFilter = v.flt
+		opts := base
+		opts.FlushAblation = v.a
 		compareTables(t, v.name, baseline, buildTables(t, opts, n))
 	}
 }
 
-// TestOffloadFlushWALReplay checks the zero-copy path: with the WAL on, the
-// flush_build RPC ships a (ring, seq-range) descriptor and the memory node
-// replays its own log ring instead of receiving the memtable contents — and
-// the result is still byte-identical to a compute-built flush.
+// TestOffloadFlushWALReplay: a DB with a log builds its tables on the
+// memory node without being asked to, and its flush moves the order, not
+// the MemTable: under 3% of the MemTable's bytes cross compute->memory
+// around Flush (the compute-built flush of the same MemTable moves all of
+// them).
 func TestOffloadFlushWALReplay(t *testing.T) {
-	const n = 3000
-	base := offloadOpts()
-	base.Durability = DurabilitySync
-	baseline := buildTables(t, base, n)
-
-	opts := base
-	opts.OffloadFlush = true
-	opts.OffloadIndexBuild = true
-	opts.OffloadFilter = true
-
-	env := sim.NewEnv()
-	fab := rdma.NewFabric(env, rdma.EDR100())
-	cn := fab.AddNode("compute", 24)
-	mn := fab.AddNode("memory", 12)
-	cfg := memnode.DefaultConfig()
-	cfg.ComputeRegionSize = 256 << 20
-	cfg.SelfRegionSize = 256 << 20
-	srv := memnode.NewServer(mn, cfg)
-	srv.Start()
-	var sigs []tableSig
-	var replays, inline int64
-	env.Run(func() {
-		db := mustOpen(cn, srv, opts)
-		s := db.NewSession()
-		perm := rand.New(rand.NewSource(99)).Perm(n)
-		for _, i := range perm {
-			s.Put(key(i), value(i))
-		}
-		db.Flush()
-		db.WaitForCompactions()
-		replays = db.Stats().OffloadReplays.Load()
-		inline = db.Stats().OffloadInline.Load()
-		if got := db.Stats().OffloadFallbacks.Load(); got != 0 {
-			t.Errorf("offload.fallback = %d on a healthy fabric, want 0", got)
-		}
-		for i := 0; i < n; i += 17 {
-			v, err := s.Get(key(i))
-			if err != nil || !bytes.Equal(v, value(i)) {
-				t.Fatalf("Get(%s) = %q, %v", key(i), v, err)
+	const n = 2000
+	flushBytes := func(a FlushAblation) (moved, table int64) {
+		opts := offloadOpts()
+		opts.Durability = DurabilitySync
+		opts.FlushAblation = a
+		opts.MemTableSize, opts.TableSize = 4<<20, 4<<20 // one MemTable: nothing flushes before Flush
+		opts.EntrySizeHint = 420
+		harness(t, opts, func(env *sim.Env, db *DB) {
+			s := db.NewSession()
+			defer s.Close()
+			val := bytes.Repeat([]byte("v"), 400)
+			for _, i := range rand.New(rand.NewSource(99)).Perm(n) {
+				s.Put(key(i), val)
 			}
-		}
-		for _, m := range db.vs.Current().Levels[0] {
-			total := int(m.Size) + m.IndexLen + m.FilterLen
-			raw := append([]byte(nil), srv.DataMR().Bytes(m.Data.Off, total)...)
-			sigs = append(sigs, tableSig{
-				size: m.Size, indexLen: m.IndexLen, filterLen: m.FilterLen,
-				count: m.Count, smallest: string(m.Smallest), largest: string(m.Largest),
-				maxSeq: m.MaxSeq,
-				data:   raw[:m.Size],
-				index:  raw[m.Size : int(m.Size)+m.IndexLen],
-				filter: raw[int(m.Size)+m.IndexLen:],
-			})
-		}
-		s.Close()
-		db.Close()
-		fab.Close()
-	})
-	env.Wait()
-
-	if replays == 0 {
-		t.Errorf("offload.replay = 0: WAL-fed flushes never used ring replay (inline = %d)", inline)
+			fab := db.cn.Fabric()
+			before, _ := fab.LinkStats(db.cn, db.mn)
+			db.Flush()
+			after, _ := fab.LinkStats(db.cn, db.mn)
+			moved, table = after-before, db.Stats().BytesFlushed.Load()
+			if got := db.Stats().OffloadedFlushes.Load(); (got == 1) != (a == FlushNearData) {
+				t.Errorf("ablation %d: offload.flushes = %d", a, got)
+			}
+			for i := 0; i < n; i += 17 {
+				if v, err := s.Get(key(i)); err != nil || !bytes.Equal(v, val) {
+					t.Fatalf("Get(%s) = %d bytes, %v", key(i), len(v), err)
+				}
+			}
+		})
+		return moved, table
 	}
-	compareTables(t, "wal-replay", baseline, sigs)
+	moved, table := flushBytes(FlushNearData)
+	if table == 0 || moved*100 >= 3*table {
+		t.Errorf("near-data flush moved %d bytes compute->memory for a %d-byte table, want < 3%%", moved, table)
+	}
+	if moved, table := flushBytes(FlushOnCompute); moved < table {
+		t.Errorf("compute-side flush moved %d bytes for a %d-byte table: the comparison measures nothing", moved, table)
+	}
+	t.Logf("near-data flush: %d of %d table bytes on the wire (%.2f%%)", moved, table, 100*float64(moved)/float64(table))
 }
 
-// offloadFaultOpts is faultOpts plus full offloading: the flush_build RPC
-// rides CompactRPC, so the shrunken policy makes retry exhaustion fast.
+// TestFlushWithoutLogStaysOnCompute: a DB without a log has nothing on the
+// memory node to build from, and one off the native transport nobody to
+// ask; whatever FlushAblation says, they flush compute-side and issue no
+// flush_build.
+func TestFlushWithoutLogStaysOnCompute(t *testing.T) {
+	for _, a := range []FlushAblation{FlushNearData, FlushDataOnly, -1} {
+		opts := smallOpts()
+		if opts.FlushAblation = a; a < 0 {
+			// A log, but the FS transport: no flush_build service to ask.
+			opts.FlushAblation, opts.Durability, opts.Transport = FlushNearData, DurabilitySync, TransportFS
+		}
+		harness(t, opts, func(env *sim.Env, db *DB) {
+			s := db.NewSession()
+			defer s.Close()
+			for i := 0; i < 2000; i++ {
+				s.Put(key(i), value(i))
+			}
+			db.Flush()
+			st := db.Stats()
+			if st.Flushes.Load() == 0 || st.OffloadedFlushes.Load() != 0 || st.OffloadFallbacks.Load() != 0 {
+				t.Errorf("ablation %d: %d flushes, offload.flushes = %d, offload.fallback = %d; want compute-side flushes only",
+					a, st.Flushes.Load(), st.OffloadedFlushes.Load(), st.OffloadFallbacks.Load())
+			}
+		})
+	}
+}
+
+// offloadFaultOpts is faultOpts with a log, so flushes build near data: the
+// flush_build RPC rides CompactRPC, so the shrunken policy makes retry
+// exhaustion fast.
 func offloadFaultOpts() Options {
 	o := faultOpts()
-	o.OffloadFlush = true
-	o.OffloadIndexBuild = true
-	o.OffloadFilter = true
+	o.Durability = DurabilitySync
 	return o
 }
 
@@ -340,18 +341,14 @@ func TestOffloadOutageDeterministic(t *testing.T) {
 }
 
 // computeBusy runs a WAL-backed fill and returns the compute node's busy
-// core-time. With all three layers offloaded the serialization, index and
+// core-time. With all three layers near data the serialization, index and
 // filter work runs on the memory node's cores, so compute busy time must
 // drop relative to the local build.
-func computeBusy(t *testing.T, offload bool) sim.Duration {
+func computeBusy(t *testing.T, a FlushAblation) sim.Duration {
 	t.Helper()
 	opts := offloadOpts()
 	opts.Durability = DurabilitySync
-	if offload {
-		opts.OffloadFlush = true
-		opts.OffloadIndexBuild = true
-		opts.OffloadFilter = true
-	}
+	opts.FlushAblation = a
 	env := sim.NewEnv()
 	fab := rdma.NewFabric(env, rdma.EDR100())
 	cn := fab.AddNode("compute", 24)
@@ -383,11 +380,12 @@ func computeBusy(t *testing.T, offload bool) sim.Duration {
 	return busy
 }
 
-// TestOffloadReducesComputeCPU asserts the headline win: offloading all
-// three layers strictly reduces compute-node CPU time for the same fill.
+// TestOffloadReducesComputeCPU asserts the headline win: building all
+// three layers near data strictly reduces compute-node CPU time for the
+// same fill, the MemTable walk that reads the order out included.
 func TestOffloadReducesComputeCPU(t *testing.T) {
-	local := computeBusy(t, false)
-	off := computeBusy(t, true)
+	local := computeBusy(t, FlushOnCompute)
+	off := computeBusy(t, FlushNearData)
 	if off >= local {
 		t.Errorf("compute busy time with offload = %v, without = %v; want a strict reduction", off, local)
 	}

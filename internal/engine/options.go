@@ -79,6 +79,27 @@ const (
 	DurabilitySync
 )
 
+// FlushAblation says how much of a durable DB's flush the memory node does.
+// It exists for -fig offload's per-layer columns; products leave it zero.
+type FlushAblation int
+
+const (
+	// FlushNearData is the flush path of every DB that has a log and the
+	// native transport: the memory node builds the table — data, block
+	// index and bloom filter — from its resident log ring, in the key order
+	// the compute node ships (DESIGN.md §11).
+	FlushNearData FlushAblation = iota
+	// FlushOnCompute builds and writes the whole table from the compute
+	// node, as a DB without a log always does (-fig offload `off`).
+	FlushOnCompute
+	// FlushDataOnly has the memory node serialize the data only; the compute
+	// node builds index and filter into the reserved footer space (`flush`).
+	FlushDataOnly
+	// FlushDataAndIndex leaves only the filter to the compute node
+	// (`flush+index`).
+	FlushDataAndIndex
+)
+
 // Options configures a DB.
 type Options struct {
 	Format     sstable.Format
@@ -102,26 +123,10 @@ type Options struct {
 	Transport      Transport
 	AsyncFlush     bool // overlap serialization with RDMA writes (§X-C)
 
-	// OffloadFlush pushes MemTable flushes to the memory node (three-layer
-	// write-path offloading, DESIGN.md §11): a flush_build RPC has it
-	// serialize the SSTable into its self-controlled area — replaying its
-	// resident WAL ring in place when Durability is on (zero extra data
-	// bytes on the network), else from memtable contents shipped inline.
-	// False — the default — keeps the compute-side flush path
-	// byte-identical to builds that predate offloading. Requires the
-	// native transport, the only one with a flush_build service; on
-	// exhausted RPC retries the flush falls back to the compute-local build.
-	OffloadFlush bool
-
-	// OffloadIndexBuild additionally builds the block index on the memory
-	// node during an offloaded flush; otherwise the compute node
-	// constructs it and one-sided-writes it into the extent's reserved
-	// footer space. Requires OffloadFlush.
-	OffloadIndexBuild bool
-
-	// OffloadFilter likewise offloads bloom-filter construction. Requires
-	// OffloadFlush and a bloom filter to build (BitsPerKey > 0).
-	OffloadFilter bool
+	// FlushAblation moves layers of a durable DB's flush back to the
+	// compute node. A DB without a log or off the native transport flushes
+	// from the compute node whatever this says.
+	FlushAblation FlushAblation
 
 	PrefetchBytes int // range-scan read-ahead
 
@@ -207,9 +212,6 @@ type Options struct {
 	// (writer groups, format framing) that dLSM's lean path avoids (§IV).
 	WritePathExtra time.Duration
 
-	// ReplyBufSize bounds compaction RPC replies (new tables' metadata).
-	ReplyBufSize int
-
 	// CompactRPC governs deadlines and retries of the near-data compaction
 	// RPC. Retries are safe: each call carries a job id the memory node
 	// dedupes on, so a duplicate delivery attaches to the running job
@@ -247,7 +249,6 @@ func DLSM() Options {
 		AsyncFlush:        true,
 		PrefetchBytes:     2 << 20,
 		PrefetchDepth:     2,
-		ReplyBufSize:      16 << 20,
 		CompactRPC: rpc.Policy{
 			Timeout:     2 * time.Second,
 			MaxAttempts: 3,
@@ -302,9 +303,6 @@ func (o Options) withDefaults() Options {
 	if o.PrefetchDepth == 0 {
 		o.PrefetchDepth = d.PrefetchDepth
 	}
-	if o.ReplyBufSize == 0 {
-		o.ReplyBufSize = d.ReplyBufSize
-	}
 	if o.CompactRPC == (rpc.Policy{}) {
 		o.CompactRPC = d.CompactRPC
 	}
@@ -341,14 +339,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("engine: Options.%s requires Options.%s", a, b)
 	}
 	switch {
-	case o.OffloadIndexBuild && !o.OffloadFlush:
-		return requires("OffloadIndexBuild", "OffloadFlush")
-	case o.OffloadFilter && !o.OffloadFlush:
-		return requires("OffloadFilter", "OffloadFlush")
-	case o.OffloadFilter && o.BitsPerKey <= 0:
-		return requires("OffloadFilter", "BitsPerKey > 0 (there is no bloom filter to build)")
-	case o.OffloadFlush && o.Transport != TransportNative:
-		return requires("OffloadFlush", "Transport = TransportNative (the only one with a flush_build service)")
 	case o.ReplAck.Sync() && o.Replica == nil:
 		return requires("ReplAck = "+o.ReplAck.String(), "Replica (there is no second copy to wait for)")
 	case o.ReplMode != repl.IndexOnly && o.Replica == nil:

@@ -32,12 +32,10 @@ type Stats struct {
 	FlushErrors *telemetry.Counter // flush attempts that failed and retried
 	GCDropped   *telemetry.Counter // free batches dropped after retries
 
-	// Write-path offloading (Options.OffloadFlush). All stay zero when
-	// offloading is off: the flush path never issues flush_build RPCs.
-	OffloadedFlushes *telemetry.Counter // flush builds completed on the memory node
-	OffloadReplays   *telemetry.Counter // offloaded flushes fed by WAL-ring replay
-	OffloadInline    *telemetry.Counter // offloaded flushes that shipped contents
-	OffloadFallbacks *telemetry.Counter // offload gave up -> compute-local build
+	// The near-data flush of a DB with a log. Both stay zero on a DB
+	// without one: its flush path never issues flush_build RPCs.
+	OffloadedFlushes *telemetry.Counter // flushes the memory node built from the log ring
+	OffloadFallbacks *telemetry.Counter // flush_build gave up -> compute-local build
 
 	Stalls       *telemetry.Counter
 	StallTime    *telemetry.Counter // virtual ns
@@ -94,8 +92,6 @@ func newStats(reg *telemetry.Registry) Stats {
 		GCDropped:   reg.Counter("engine.gc.dropped_batches"),
 
 		OffloadedFlushes: reg.Counter("offload.flushes"),
-		OffloadReplays:   reg.Counter("offload.replay"),
-		OffloadInline:    reg.Counter("offload.inline"),
 		// Named without the engine. prefix, like compaction.fallback: the
 		// graceful-degradation signal for the offloaded write path.
 		OffloadFallbacks: reg.Counter("offload.fallback"),

@@ -142,8 +142,13 @@ func (db *DB) walCheckpoint() (blob []byte, covered uint64) {
 // MemTable toward a flush so the next checkpoint refresh can advance the
 // truncation horizon. Mirrors the switch half of Flush without waiting
 // for the queue to drain (stalled appends re-check for space as flushes
-// complete).
+// complete). While immutables are still queued it declines: their flushes
+// will free ring space and ask the trimmer again, and switching now would
+// only cut an undersized table for the compaction backlog to chew on.
 func (db *DB) walKick() {
+	if db.immCount.Load() > 0 {
+		return
+	}
 	db.switchMu.Lock()
 	mt := db.cur.Load()
 	if !mt.Empty() {

@@ -235,37 +235,36 @@ func TestSyncPutOverlapsLogRoundTrip(t *testing.T) {
 }
 
 // TestOffloadReplayViewIsComplete: every record is in the log before its
-// writer's claim clears, so an offloaded flush's replay view never misses
+// writer's claim clears, so a near-data flush's replay view never misses
 // an entry however the writers interleave with the switch: no fallback,
-// and every flush is fed by ring replay.
+// and every flush is built from the log ring.
 func TestOffloadReplayViewIsComplete(t *testing.T) {
 	const writers, per = 16, 500
 	opts := smallOpts()
 	opts.Durability = DurabilitySync
-	opts.OffloadFlush, opts.OffloadIndexBuild, opts.OffloadFilter = true, true, true
 	harness(t, opts, func(env *sim.Env, db *DB) {
 		putAll(t, env, db, writers, per)
 		db.Flush()
 		db.WaitForCompactions()
 		st := db.Stats()
-		flushes, replays := st.Flushes.Load(), st.OffloadReplays.Load()
-		if fb := st.OffloadFallbacks.Load(); fb != 0 || flushes == 0 || replays != flushes {
-			t.Fatalf("flushes=%d replays=%d fallbacks=%d; want every flush replayed, none fallen back",
-				flushes, replays, fb)
+		flushes, nearData := st.Flushes.Load(), st.OffloadedFlushes.Load()
+		if fb := st.OffloadFallbacks.Load(); fb != 0 || flushes == 0 || nearData != flushes {
+			t.Fatalf("flushes=%d built near data=%d fallbacks=%d; want every flush built from the ring, none fallen back",
+				flushes, nearData, fb)
 		}
 		wantAll(t, db, writers*per)
 	})
 }
 
-// TestReplyRegionGrowsToFitMetas: a compaction (or offloaded flush) whose
-// output metas outgrow ReplyBufSize used to run to completion on the
+// TestReplyRegionGrowsToFitMetas: a compaction (or near-data flush) whose
+// output metas outgrow the reply region used to run to completion on the
 // memory node, fail with "reply too large" and be redone compute-side. The
-// RPC client now sizes its reply region from the inputs before the call.
+// RPC client sizes its reply region from the inputs before the call, so
+// large clients start at 64 KiB — less than any compaction's reply bound.
 func TestReplyRegionGrowsToFitMetas(t *testing.T) {
 	const n = 6000
 	opts := smallOpts()
-	opts.ReplyBufSize = 4 << 10 // one 64 KiB table's index alone is larger
-	opts.OffloadFlush, opts.OffloadIndexBuild, opts.OffloadFilter = true, true, true
+	opts.Durability = DurabilitySync
 	harness(t, opts, func(env *sim.Env, db *DB) {
 		putAll(t, env, db, 4, n/4)
 		db.Flush()
@@ -276,9 +275,45 @@ func TestReplyRegionGrowsToFitMetas(t *testing.T) {
 				st.RemoteCompactions.Load(), st.OffloadedFlushes.Load())
 		}
 		if cf, of := st.CompactionFallbacks.Load(), st.OffloadFallbacks.Load(); cf != 0 || of != 0 {
-			t.Fatalf("compaction.fallback=%d offload.fallback=%d with a %d-byte reply buffer, want 0",
-				cf, of, opts.ReplyBufSize)
+			t.Fatalf("compaction.fallback=%d offload.fallback=%d, want 0", cf, of)
 		}
 		wantAll(t, db, n)
+	})
+}
+
+// TestRingFullKickCutsNoUndersizedTables: when writers outrun the flush
+// pipeline the log ring fills while immutables are still queued. Kicking a
+// MemTable switch then frees nothing the queued flushes would not free
+// anyway, and cuts an undersized table: every L0 table but the last Flush's
+// must hold a full MemTable's worth.
+func TestRingFullKickCutsNoUndersizedTables(t *testing.T) {
+	const writers, per = 16, 1500
+	opts := offloadOpts()
+	opts.Durability = DurabilityAsync    // writers never wait for the log: the ring is what stops them
+	opts.WALSize = 4 * opts.MemTableSize // a ring of three MemTables, fewer than may queue
+	harness(t, opts, func(env *sim.Env, db *DB) {
+		putAll(t, env, db, writers, per)
+		db.Flush()
+		st := db.Stats()
+		if st.WALRingStalls.Load() == 0 {
+			t.Fatal("the ring never filled: the scenario exercises nothing")
+		}
+		v := db.vs.Current()
+		defer v.Unref()
+		tables := v.Levels[0]
+		full := 0
+		for _, m := range tables {
+			full = max(full, m.Count)
+		}
+		small := 0
+		for _, m := range tables {
+			if m.Count < full*8/10 {
+				small++
+			}
+		}
+		if small > 1 { // the one Flush cut at the end
+			t.Errorf("%d of %d L0 tables hold under 80%% of a MemTable's %d entries (ring stalls %d)", small, len(tables), full, st.WALRingStalls.Load())
+		}
+		wantAll(t, db, writers*per)
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"dlsm/internal/lease"
 	"dlsm/internal/memnode"
 	"dlsm/internal/rdma"
+	"dlsm/internal/repl"
 	"dlsm/internal/sim"
 )
 
@@ -258,4 +259,99 @@ func TestDeposedOwnerFenced(t *testing.T) {
 		}
 	})
 	env.Wait()
+}
+
+// TestTakeoverDuringNearDataFlush composes what a durable DB now does by
+// default with the two features it meets in production: factor-2
+// replication and a lease takeover. The primary is deposed while one of
+// its flush_build jobs is running on the memory node. Every write it
+// acknowledged is readable on the new primary, and the table the stale job
+// built is never installed: the deposed primary checks its fence before
+// it installs, returns the extent, and the memory node's self-controlled
+// area ends where it stood before the job.
+func TestTakeoverDuringNearDataFlush(t *testing.T) {
+	env := sim.NewEnvSeed(23)
+	fab := rdma.NewFabric(env, rdma.EDR100())
+	mem1 := fab.AddNode("mem1", 12)
+	mem2 := fab.AddNode("mem2", 12)
+	cn1 := fab.AddNode("compute1", 8)
+	cn2 := fab.AddNode("compute2", 8)
+
+	env.Run(func() {
+		defer fab.Close()
+		srv1 := memnode.NewServer(mem1, smallMemConfig())
+		srv1.Start()
+		srv2 := memnode.NewServer(mem2, smallMemConfig())
+		srv2.Start()
+
+		opts := replOptions(srv2, repl.IndexOnly)
+		ls, err := srv1.OpenLease(lease.SlotKey(0, 0))
+		if err != nil {
+			t.Fatalf("OpenLease: %v", err)
+		}
+		cl1 := lease.NewClient(cn1, srv1.Node(), ls.Addr, 0)
+		defer cl1.Close()
+		l1, err := cl1.Acquire()
+		if err != nil {
+			t.Fatalf("Acquire: %v", err)
+		}
+		bind := engine.Binding{Fence: ls.Addr, FenceWord: l1.Word()}
+		db1, err := engine.Open(cn1, srv1, opts, bind)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		s1 := db1.NewSession()
+		const n = 300 // well short of a MemTable: nothing flushes on its own
+		for i := 0; i < n; i++ {
+			if err := s1.Put([]byte(fmt.Sprintf("k%06d", i)), []byte(fmt.Sprintf("v%06d", i))); err != nil {
+				t.Fatalf("put %d: %v", i, err)
+			}
+		}
+		s1.Close()
+		before := srv1.SelfUsed()
+
+		// Retire the MemTable and let its flush_build get going on the
+		// memory node: the job has carved its extent, nothing is installed.
+		db1.FenceNow()
+		env.Sleep(10 * time.Microsecond)
+		if srv1.SelfUsed() == before || db1.Stats().Flushes.Load() != 0 {
+			t.Fatalf("SelfUsed %d -> %d with %d flushes installed: no flush_build is in flight, the scenario exercises nothing",
+				before, srv1.SelfUsed(), db1.Stats().Flushes.Load())
+		}
+
+		cl2 := lease.NewClient(cn2, srv1.Node(), ls.Addr, 1)
+		defer cl2.Close()
+		l2, err := cl2.Takeover()
+		if err != nil {
+			t.Fatalf("Takeover: %v", err)
+		}
+		bind.FenceWord = l2.Word()
+		db2, err := engine.Recover(cn2, srv1, opts, bind)
+		if err != nil {
+			t.Fatalf("Recover: %v", err)
+		}
+		defer db2.Close()
+
+		db1.Close() // drains the deposed primary's flusher
+		st := db1.Stats()
+		if st.Flushes.Load() != 0 || st.OffloadedFlushes.Load() != 0 {
+			t.Errorf("the deposed primary installed %d flushes (%d built near data) after the takeover",
+				st.Flushes.Load(), st.OffloadedFlushes.Load())
+		}
+		if got := srv1.SelfUsed(); got != before {
+			t.Errorf("SelfUsed = %d after the stale flush_build, want the %d before it: the job's extent leaked", got, before)
+		}
+		s2 := db2.NewSession()
+		defer s2.Close()
+		for i := 0; i < n; i++ {
+			got, err := s2.Get([]byte(fmt.Sprintf("k%06d", i)))
+			if err != nil || string(got) != fmt.Sprintf("v%06d", i) {
+				t.Fatalf("acked key %d on the new primary: %q, %v", i, got, err)
+			}
+		}
+	})
+	env.Wait()
+	if got := fab.Telemetry().Counter("memnode.invalid_frees").Load(); got != 0 {
+		t.Errorf("memnode.invalid_frees = %d, want 0", got)
+	}
 }

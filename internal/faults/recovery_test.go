@@ -48,10 +48,11 @@ func runCrashRecovery(t *testing.T, seed int64) crashOutcome {
 		opts.EntrySizeHint = 64
 		opts.Durability = engine.DurabilitySync
 		opts.WALSize = 1 << 20
-		// Compute-local compaction keeps the memory node's CPU provably
-		// idle for the whole pre-crash phase: flushes, GC frees and the
-		// log's append path are all one-sided.
+		// Compute-local compaction and compute-side flushes keep the
+		// memory node's CPU provably idle for the whole pre-crash phase:
+		// flushes, GC frees and the log's append path are all one-sided.
 		opts.CompactionSite = engine.CompactLocal
+		opts.FlushAblation = engine.FlushOnCompute
 
 		db, err := engine.Open(cn1, srv, opts, engine.Binding{})
 		if err != nil {

@@ -245,8 +245,10 @@ func TestWALCrashWithFullWindow(t *testing.T) {
 			// The record after the hole is in the ring, intact, and was not
 			// returned: LSN j sits at (j-1)*walRecSize.
 			off := (len(recs) + 1) * walRecSize
-			past, ok := wal.ParseReplayRecord(ring[off:off+walRecSize], 1)
-			out.pastHole = ok && past.LSN == uint64(len(recs))+2
+			// (checkPrefix: every record holds the one entry whose seq is its LSN.)
+			var pastSeq uint64
+			ok := wal.WalkSpan(ring[off:off+walRecSize], 1, func(e wal.Entry, _ int) { pastSeq = e.Seq })
+			out.pastHole = ok && pastSeq == uint64(len(recs))+2
 		})
 		b.env.Wait()
 		if out.acked == 0 || out.maxInflight < 2 {

@@ -3,7 +3,7 @@ package memnode
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"math"
 
 	"dlsm/internal/keys"
 	"dlsm/internal/remote"
@@ -12,25 +12,27 @@ import (
 	"dlsm/internal/wal"
 )
 
-// FlushReplay asks the memory node to rebuild the memtable's entries from
-// the write-ahead-log ring resident in its own DRAM (zero-copy flush): the
-// compute node ships only record locations, never the data — the bytes
-// already crossed the network once, as WAL appends.
+// FlushReplay names a MemTable's entries where they already are — in the
+// write-ahead-log ring in this node's own DRAM — plus the one thing the
+// ring lacks and the compute node's skiplist already paid for: the order.
 type FlushReplay struct {
-	LogKey  uint64 // memnode log-slot key (engine.Binding.SlotKey)
-	Epoch   uint64 // current log epoch; stale-epoch records fail to parse
-	SeqLo   uint64 // memtable sequence range: entries outside are skipped
-	SeqHi   uint64
-	Records []wal.RecordLoc // ring-relative; may span-overlap neighbors' seqs
+	LogKey uint64 // memnode log-slot key (engine.Binding.SlotKey)
+	Epoch  uint64 // current log epoch; stale-epoch records fail to parse
+	SeqLo  uint64 // the MemTable's sequence range, inclusive: ring entries
+	SeqHi  uint64 // outside it belong to a neighbour and are skipped
+	Spans  []wal.Span
+	// Order is one u32 per entry, little-endian: the entry's sequence number
+	// minus SeqLo, in ascending internal-key order. It must be a permutation
+	// of exactly the in-range entries the spans hold.
+	Order []byte
 }
 
-// FlushBuildArgs is the large RPC argument for flush offloading: build one
-// SSTable in the self-controlled area from an immutable memtable's
-// entries, delivered either inline (Entries) or as a WAL replay
-// descriptor (Replay). BuildIndex/BuildFilter select which footer
-// sections this node constructs (per-layer ablation); sections it builds
-// are placed in the extent as a contiguous footer prefix after the data,
-// and any section left to the compute node is covered by FooterReserve.
+// FlushBuildArgs is the large RPC argument of a near-data flush: build one
+// SSTable in the self-controlled area from the log entries Replay names.
+// BuildIndex/BuildFilter select which footer sections this node constructs
+// (the -fig offload ablation; a filter needs the index under it); they are
+// placed in the extent right after the data, and any section left to the
+// compute node is covered by FooterReserve.
 type FlushBuildArgs struct {
 	JobID         uint64 // dedupe/cancel id (shared with "compact"); 0 disables
 	Format        sstable.Format
@@ -41,59 +43,48 @@ type FlushBuildArgs struct {
 	FooterReserve int64 // slack kept for compute-built footer sections
 	BuildIndex    bool
 	BuildFilter   bool
-
-	// Contents mode: Count framed entries in ascending internal-key order,
-	// each `u32 klen | u32 vlen | ikey | value`.
-	Count   int
-	Entries []byte
-
-	// Replay mode, used instead of Entries when non-nil.
-	Replay *FlushReplay
+	Replay        FlushReplay
 }
 
-const flushModeReplay = 1
+// replaySeqSlack bounds how many sequence numbers of a replayed range may
+// map to no entry (switch fences, writes the log refused), beyond one hole
+// per entry: the per-sequence table replay allocates stays proportional to
+// the entries actually named.
+const replaySeqSlack = 4096
 
 // EncodeFlushBuildArgs serializes args for transport.
 func EncodeFlushBuildArgs(a *FlushBuildArgs) []byte {
-	b := binary.LittleEndian.AppendUint64(nil, a.JobID)
+	r := &a.Replay
+	b := make([]byte, 0, flushArgsFixed+12*len(r.Spans)+4+len(r.Order))
+	b = binary.LittleEndian.AppendUint64(b, a.JobID)
 	b = append(b, byte(a.Format))
 	b = binary.LittleEndian.AppendUint32(b, uint32(a.BlockSize))
 	b = binary.LittleEndian.AppendUint32(b, uint32(a.BitsPerKey))
 	b = binary.LittleEndian.AppendUint64(b, uint64(a.ExtentCap))
 	b = binary.LittleEndian.AppendUint64(b, uint64(a.Capacity))
 	b = binary.LittleEndian.AppendUint64(b, uint64(a.FooterReserve))
-	flags := byte(0)
-	if a.BuildIndex {
-		flags |= 1
+	b = append(b, boolByte(a.BuildIndex)|boolByte(a.BuildFilter)<<1)
+	b = binary.LittleEndian.AppendUint64(b, r.LogKey)
+	b = binary.LittleEndian.AppendUint64(b, r.Epoch)
+	b = binary.LittleEndian.AppendUint64(b, r.SeqLo)
+	b = binary.LittleEndian.AppendUint64(b, r.SeqHi)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(r.Spans)))
+	for _, sp := range r.Spans {
+		b = binary.LittleEndian.AppendUint64(b, uint64(sp.Off))
+		b = binary.LittleEndian.AppendUint32(b, uint32(sp.Size))
 	}
-	if a.BuildFilter {
-		flags |= 2
-	}
-	b = append(b, flags)
-	if a.Replay != nil {
-		b = append(b, flushModeReplay)
-		b = binary.LittleEndian.AppendUint64(b, a.Replay.LogKey)
-		b = binary.LittleEndian.AppendUint64(b, a.Replay.Epoch)
-		b = binary.LittleEndian.AppendUint64(b, a.Replay.SeqLo)
-		b = binary.LittleEndian.AppendUint64(b, a.Replay.SeqHi)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(a.Replay.Records)))
-		for _, r := range a.Replay.Records {
-			b = binary.LittleEndian.AppendUint64(b, uint64(r.Off))
-			b = binary.LittleEndian.AppendUint32(b, uint32(r.Size))
-		}
-		return b
-	}
-	b = append(b, 0)
-	b = binary.LittleEndian.AppendUint32(b, uint32(a.Count))
-	return append(b, a.Entries...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(r.Order)/4))
+	return append(b, r.Order...)
 }
 
-// DecodeFlushBuildArgs parses EncodeFlushBuildArgs output. The entry
-// frames of contents mode are validated here (count, lengths, no trailing
-// bytes) so the handler can alias them without further checks.
+// flushArgsFixed is the encoded length up to and including the span count.
+const flushArgsFixed = 8 + 1 + 4 + 4 + 8 + 8 + 8 + 1 + 8 + 8 + 8 + 8 + 4
+
+// DecodeFlushBuildArgs parses EncodeFlushBuildArgs output. Sizes, the span
+// list and the entry count against the sequence range are validated here;
+// Order aliases b and is checked offset by offset as replay consumes it.
 func DecodeFlushBuildArgs(b []byte) (*FlushBuildArgs, error) {
-	const fixed = 8 + 1 + 4 + 4 + 8 + 8 + 8 + 1 + 1
-	if len(b) < fixed {
+	if len(b) < flushArgsFixed {
 		return nil, fmt.Errorf("memnode: short flush_build args")
 	}
 	a := &FlushBuildArgs{
@@ -105,59 +96,45 @@ func DecodeFlushBuildArgs(b []byte) (*FlushBuildArgs, error) {
 		Capacity:      int64(binary.LittleEndian.Uint64(b[25:])),
 		FooterReserve: int64(binary.LittleEndian.Uint64(b[33:])),
 	}
-	flags, mode := b[41], b[42]
-	a.BuildIndex = flags&1 != 0
-	a.BuildFilter = flags&2 != 0
-	b = b[fixed:]
-	if a.Capacity <= 0 || a.ExtentCap < 0 || a.FooterReserve < 0 {
+	layers := b[41]
+	a.BuildIndex, a.BuildFilter = layers&1 != 0, layers&2 != 0
+	r := &a.Replay
+	r.LogKey = binary.LittleEndian.Uint64(b[42:])
+	r.Epoch = binary.LittleEndian.Uint64(b[50:])
+	r.SeqLo = binary.LittleEndian.Uint64(b[58:])
+	r.SeqHi = binary.LittleEndian.Uint64(b[66:])
+	spans := int64(binary.LittleEndian.Uint32(b[74:]))
+	b = b[flushArgsFixed:]
+	switch {
+	case a.Capacity <= 0 || a.ExtentCap < 0 || a.FooterReserve < 0:
 		return nil, fmt.Errorf("memnode: flush_build sizes out of range")
+	case layers&^3 != 0 || a.BuildFilter && !a.BuildIndex:
+		// The filter sits behind the index in the extent: without the
+		// index its position is unknowable here.
+		return nil, fmt.Errorf("memnode: flush_build layers %#x: unknown, or a filter without the index under it", layers)
+	case r.SeqHi < r.SeqLo || r.SeqHi-r.SeqLo >= math.MaxUint32:
+		return nil, fmt.Errorf("memnode: flush_build sequence range [%d, %d] out of range", r.SeqLo, r.SeqHi)
+	case int64(len(b)) < 12*spans+4:
+		return nil, fmt.Errorf("memnode: flush_build names %d spans, %d bytes left", spans, len(b))
 	}
-	if mode == flushModeReplay {
-		if len(b) < 8+8+8+8+4 {
-			return nil, fmt.Errorf("memnode: short flush_build replay descriptor")
+	r.Spans = make([]wal.Span, spans)
+	for i := range r.Spans {
+		off := int64(binary.LittleEndian.Uint64(b[12*i:]))
+		size := int64(binary.LittleEndian.Uint32(b[12*i+8:]))
+		if off < 0 || size <= 0 {
+			return nil, fmt.Errorf("memnode: flush_build span %d out of range", i)
 		}
-		r := &FlushReplay{
-			LogKey: binary.LittleEndian.Uint64(b),
-			Epoch:  binary.LittleEndian.Uint64(b[8:]),
-			SeqLo:  binary.LittleEndian.Uint64(b[16:]),
-			SeqHi:  binary.LittleEndian.Uint64(b[24:]),
-		}
-		n := int(binary.LittleEndian.Uint32(b[32:]))
-		b = b[36:]
-		if n < 0 || len(b) != 12*n {
-			return nil, fmt.Errorf("memnode: flush_build replay wants %d records, %d bytes left", n, len(b))
-		}
-		for i := 0; i < n; i++ {
-			off := int64(binary.LittleEndian.Uint64(b[12*i:]))
-			size := int64(binary.LittleEndian.Uint32(b[12*i+8:]))
-			if off < 0 || size <= 0 {
-				return nil, fmt.Errorf("memnode: flush_build replay record %d out of range", i)
-			}
-			r.Records = append(r.Records, wal.RecordLoc{Off: int(off), Size: int(size)})
-		}
-		a.Replay = r
-		return a, nil
+		r.Spans[i] = wal.Span{Off: int(off), Size: int(size)}
 	}
-	if len(b) < 4 {
-		return nil, fmt.Errorf("memnode: short flush_build entry count")
-	}
-	a.Count = int(binary.LittleEndian.Uint32(b))
-	a.Entries = b[4:]
-	// Validate the frames end-to-end up front.
-	rest := a.Entries
-	for i := 0; i < a.Count; i++ {
-		if len(rest) < 8 {
-			return nil, fmt.Errorf("memnode: truncated flush_build entry %d", i)
-		}
-		klen := int64(binary.LittleEndian.Uint32(rest))
-		vlen := int64(binary.LittleEndian.Uint32(rest[4:]))
-		if klen < int64(keys.TrailerLen) || klen+vlen > int64(len(rest)-8) {
-			return nil, fmt.Errorf("memnode: flush_build entry %d out of range", i)
-		}
-		rest = rest[8+klen+vlen:]
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("memnode: %d trailing bytes after flush_build entries", len(rest))
+	b = b[12*spans:]
+	count := uint64(binary.LittleEndian.Uint32(b))
+	r.Order = b[4:]
+	seqs := r.SeqHi - r.SeqLo + 1
+	switch {
+	case uint64(len(r.Order)) != 4*count:
+		return nil, fmt.Errorf("memnode: flush_build orders %d entries in %d bytes", count, len(r.Order))
+	case count == 0 || count > seqs || seqs-count > count+replaySeqSlack:
+		return nil, fmt.Errorf("memnode: flush_build orders %d entries over %d sequence numbers", count, seqs)
 	}
 	return a, nil
 }
@@ -174,31 +151,11 @@ func (s *Server) handleFlushBuild(from int, argBytes []byte) ([]byte, error) {
 	})
 }
 
-// flushEntry is one (internal key, value) pair ready for the table writer.
-type flushEntry struct {
-	ikey  []byte
-	value []byte
-}
-
-// runFlushBuild materializes the entries (inline or WAL replay),
-// serializes them into a fresh self-region extent, builds the requested
-// footer sections, and returns the encoded table meta (with the built
-// index/filter bytes for the compute-side cache).
+// runFlushBuild streams the replayed entries into a fresh self-region
+// extent, builds the requested footer sections, and returns the encoded
+// table meta (with the built index/filter bytes for the compute-side
+// cache).
 func (s *Server) runFlushBuild(args *FlushBuildArgs) ([]byte, []*sstable.Meta, error) {
-	var entries []flushEntry
-	var err error
-	if args.Replay != nil {
-		entries, err = s.replayEntries(args.Replay)
-	} else {
-		entries, err = s.inlineEntries(args)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(entries) == 0 {
-		return nil, nil, fmt.Errorf("memnode: flush_build with no entries")
-	}
-
 	off, err := s.selfAlloc.Alloc(int(args.Capacity))
 	if err != nil {
 		return nil, nil, fmt.Errorf("memnode: flush_build allocation: %w", err)
@@ -211,34 +168,26 @@ func (s *Server) runFlushBuild(args *FlushBuildArgs) ([]byte, []*sstable.Meta, e
 		SkipFilter:  !args.BuildFilter,
 		DeferFooter: true,
 	})
-	var maxSeq uint64
-	for _, e := range entries {
-		w.Add(e.ikey, e.value)
-		if _, seq, _, perr := keys.Parse(e.ikey); perr == nil && uint64(seq) > maxSeq {
-			maxSeq = uint64(seq)
-		}
+	maxSeq, err := s.replay(&args.Replay, w.Add)
+	var res sstable.BuildResult
+	if err == nil {
+		res, err = w.Finish()
 	}
-	res, err := w.Finish()
 	if err != nil {
 		s.selfAlloc.Free(off, int(args.Capacity))
 		return nil, nil, err
 	}
-	// Footer placement: sections built here land right after the data, in
-	// index-then-filter order, but only as a contiguous prefix — with the
-	// index left to the compute node, the filter's final position
-	// (Size+IndexLen) is unknowable here, so its bytes travel back in the
-	// reply meta and the compute node places them.
-	placed := 0
+	// Footer placement: the sections built here land right after the data,
+	// index then filter.
+	actual := int(res.Size)
 	if args.BuildIndex {
 		sink.Write(res.Index.Raw())
-		placed += res.IndexLen
-		if args.BuildFilter {
-			sink.Write(res.Filter)
-			placed += res.FilterLen
-		}
+		actual += res.IndexLen
 	}
-	actual := int(res.Size) + placed
-	if !args.BuildIndex || !args.BuildFilter {
+	if args.BuildFilter {
+		sink.Write(res.Filter)
+		actual += res.FilterLen
+	} else {
 		actual += int(args.FooterReserve) // room for compute-built sections
 	}
 	if class := int(remote.ClassSize(int(args.ExtentCap))); args.ExtentCap > 0 && actual < class {
@@ -259,67 +208,101 @@ func (s *Server) runFlushBuild(args *FlushBuildArgs) ([]byte, []*sstable.Meta, e
 	return EncodeMetas(outputs), outputs, nil
 }
 
-// inlineEntries decodes contents-mode frames (already validated by
-// DecodeFlushBuildArgs) into writer-ready entries, charging the copy and
-// parse work to this node.
-func (s *Server) inlineEntries(args *FlushBuildArgs) ([]flushEntry, error) {
-	entries := make([]flushEntry, 0, args.Count)
-	rest := args.Entries
-	for i := 0; i < args.Count; i++ {
-		klen := int(binary.LittleEndian.Uint32(rest))
-		vlen := int(binary.LittleEndian.Uint32(rest[4:]))
-		rest = rest[8:]
-		entries = append(entries, flushEntry{ikey: rest[:klen], value: rest[klen : klen+vlen]})
-		rest = rest[klen+vlen:]
-	}
-	s.charge(sim.Bytes(len(args.Entries), s.cfg.Costs.MemcpyByte) +
-		sim.Duration(args.Count)*s.cfg.Costs.EntryParse)
-	return entries, nil
-}
+// replayLanes is how many of this node's cores index one flush's spans at
+// once: the ring holds a MemTable's records for as long as its flush takes.
+const replayLanes = 4
 
-// replayEntries rebuilds the memtable's entries from the WAL ring in this
-// node's own DRAM: parse the named records, keep entries inside the
-// memtable's sequence range (records may span a memtable boundary), and
-// restore ascending internal-key order — the insertion the memtable's
-// skiplist did on the compute node, now done here.
-func (s *Server) replayEntries(r *FlushReplay) ([]flushEntry, error) {
+// replay feeds add the entries r names, in r's order, straight out of the
+// log ring in this node's own DRAM, and returns their highest sequence
+// number. Two linear passes and no sort (DESIGN.md §11): the first walks
+// the spans, in lanes, and notes where each in-range sequence number's
+// entry sits; the second takes the shipped order through that table. Only
+// each internal key is copied, into one scratch buffer (ring entries carry
+// no trailer): key and value alias the ring, whose records stay put until
+// the flush completes (wal.View). Both passes are charged: the first is
+// one sequential read of every span byte (the CRC, with the frame lengths
+// read on the way), the second a random access and a decode per entry.
+// Whatever way the descriptor disagrees with the ring is an error, not a
+// panic and not a short table.
+func (s *Server) replay(r *FlushReplay, add func(ikey, value []byte)) (maxSeq uint64, err error) {
 	s.logMu.Lock()
 	slot, ok := s.logs[r.LogKey]
 	mr := s.logMR
 	s.logMu.Unlock()
-	if !ok || mr == nil {
-		return nil, fmt.Errorf("memnode: flush_build replay of unknown log %#x", r.LogKey)
+	if !ok {
+		return 0, fmt.Errorf("memnode: flush_build replay of unknown log %#x", r.LogKey)
 	}
 	_, ringBase, ringSize, err := wal.Geometry(slot.Size)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	var entries []flushEntry
-	ringBytes, parsed := 0, 0
-	for i, loc := range r.Records {
-		if loc.Size < 0 || loc.Off < 0 || loc.Off+loc.Size > ringSize {
-			return nil, fmt.Errorf("memnode: replay record %d outside ring", i)
-		}
-		rec, ok := wal.ParseReplayRecord(mr.Bytes(int(slot.Addr.Off)+ringBase+loc.Off, loc.Size), r.Epoch)
-		if !ok {
-			return nil, fmt.Errorf("memnode: replay record %d failed to parse", i)
-		}
-		ringBytes += loc.Size
-		for _, e := range rec.Entries {
-			parsed++
-			if e.Seq < r.SeqLo || e.Seq > r.SeqHi {
-				continue
+	if ringSize >= math.MaxUint32 {
+		return 0, fmt.Errorf("memnode: flush_build replay of a %d-byte ring", ringSize)
+	}
+	ring := mr.Bytes(slot.Addr.Off+ringBase, ringSize)
+
+	// at[seq-SeqLo] is 1 + the ring offset of that sequence number's entry
+	// frame; 0 while the spans have not shown one, and again once consumed.
+	at := make([]uint32, r.SeqHi-r.SeqLo+1)
+	var lanes [replayLanes]struct {
+		found int
+		err   error
+	}
+	index := func(j int) {
+		l, bytes := &lanes[j], 0
+		for i := j; i < len(r.Spans) && l.err == nil; i += replayLanes {
+			sp := r.Spans[i]
+			if sp.Off < 0 || sp.Size <= 0 || sp.Off > ringSize-sp.Size {
+				l.err = fmt.Errorf("memnode: replay span %d outside ring", i)
+				break
 			}
-			entries = append(entries, flushEntry{
-				ikey:  keys.Append(nil, e.Key, keys.Seq(e.Seq), keys.Kind(e.Kind)),
-				value: e.Value,
-			})
+			if !wal.WalkSpan(ring[sp.Off:sp.Off+sp.Size], r.Epoch, func(e wal.Entry, off int) {
+				if e.Seq >= r.SeqLo && e.Seq <= r.SeqHi {
+					at[e.Seq-r.SeqLo] = uint32(sp.Off+off) + 1
+					l.found++
+				}
+			}) {
+				l.err = fmt.Errorf("memnode: replay span %d failed to parse", i)
+			}
+			bytes += sp.Size
 		}
+		s.charge(sim.Bytes(bytes, s.cfg.Costs.MemcpyByte))
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		return keys.Compare(entries[i].ikey, entries[j].ikey) < 0
-	})
-	s.charge(sim.Bytes(ringBytes, s.cfg.Costs.MemcpyByte) +
-		sim.Duration(parsed)*s.cfg.Costs.EntryParse)
-	return entries, nil
+	wg := sim.NewWaitGroup(s.env)
+	for j := 1; j < min(replayLanes, len(r.Spans)); j++ {
+		wg.Add(1)
+		s.env.Go(func() { defer wg.Done(); index(j) })
+	}
+	index(0)
+	wg.Wait()
+	count, found := len(r.Order)/4, 0
+	for _, l := range lanes {
+		if l.err != nil {
+			return 0, l.err
+		}
+		found += l.found
+	}
+	if found != count {
+		return 0, fmt.Errorf("memnode: replay orders %d entries, the spans hold %d in range", count, found)
+	}
+
+	var ikey []byte
+	keyBytes := 0
+	for i := 0; i < count; i++ {
+		off := uint64(binary.LittleEndian.Uint32(r.Order[4*i:]))
+		if off >= uint64(len(at)) || at[off] == 0 {
+			return 0, fmt.Errorf("memnode: replay order %d names sequence %d+%d: out of range, repeated or not in the spans", i, r.SeqLo, off)
+		}
+		kind, key, value, ok := wal.EntryAt(ring, int(at[off]-1))
+		if !ok {
+			return 0, fmt.Errorf("memnode: replay entry for sequence %d+%d changed under the flush", r.SeqLo, off)
+		}
+		at[off] = 0
+		ikey = keys.Append(ikey[:0], key, keys.Seq(r.SeqLo+off), keys.Kind(kind))
+		add(ikey, value)
+		keyBytes += len(ikey)
+		maxSeq = max(maxSeq, r.SeqLo+off)
+	}
+	s.charge(sim.Bytes(keyBytes+len(r.Order), s.cfg.Costs.MemcpyByte) + sim.Duration(count)*s.cfg.Costs.EntryParse)
+	return maxSeq, nil
 }

@@ -80,20 +80,17 @@ func (s *Server) handleFSRead(from int, args []byte) ([]byte, error) {
 	return f[off : off+n], nil
 }
 
-// handleFSFree deletes files: [count u32][id u64]...
+// handleFSFree deletes files (EncodeFSFrees), at most once per batch id.
 func (s *Server) handleFSFree(from int, args []byte) ([]byte, error) {
-	if len(args) < 4 {
-		return nil, fmt.Errorf("memnode: short fs_free")
-	}
-	n := int(binary.LittleEndian.Uint32(args))
-	if len(args) < 4+8*n {
-		return nil, fmt.Errorf("memnode: truncated fs_free")
-	}
 	fs := s.fs()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	for i := 0; i < n; i++ {
-		delete(fs.files, binary.LittleEndian.Uint64(args[4+8*i:]))
-	}
-	return nil, nil
+	return s.handleFreeBatch("fs_free", args, 8, func(item []byte) error {
+		id := binary.LittleEndian.Uint64(item)
+		fs.mu.Lock()
+		defer fs.mu.Unlock()
+		if _, ok := fs.files[id]; !ok {
+			return fmt.Errorf("memnode: fs_free of missing file %d", id)
+		}
+		delete(fs.files, id)
+		return nil
+	})
 }

@@ -8,18 +8,20 @@
 //     memory, merged by a pool of subcompaction workers bounded by the
 //     node's (weak) CPU, and written to the self-controlled area; only the
 //     new tables' metadata crosses the network back.
-//   - "flush_build": memtable flush offloading (three-layer offloading,
-//     after O³-LSM): serializes one immutable memtable — shipped contents,
-//     or replayed in place from the already-remote WAL ring — into the
-//     self-controlled area, building the block index and bloom filter
-//     there, and returns only the metadata + index/filter bytes.
-//   - "free": batched reclamation of self-allocated extents (§V-B).
+//   - "flush_build": the flush of a DB that has a log (after O³-LSM):
+//     serializes one immutable memtable, replayed in place from the
+//     already-remote WAL ring in the key order the compute node ships,
+//     into the self-controlled area, building the block index and bloom
+//     filter there, and returns only the metadata + index/filter bytes.
+//   - "free": batched reclamation of self-allocated extents (§V-B),
+//     at most once per batch id.
 //   - "fs_read"/"fs_write"/"fs_free": a tmpfs-like byte service used by the
 //     Nova-LSM baseline, which does file I/O through two-sided RPCs.
 package memnode
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -81,15 +83,16 @@ type Server struct {
 	computeAlloc *remote.Allocator
 	rpc          *rpc.Server
 
-	// Job deduplication for "compact" and "flush_build": retried RPCs
-	// share a job id, so redelivery (a retry racing a slow original) never
-	// runs the work twice or leaks output extents. The table lives outside
-	// the RPC service and therefore survives service crash/restart.
-	jobMu    sync.Mutex
-	jobs     map[uint64]*jobState
-	jobOrder []uint64
-	deduped  *telemetry.Counter
-	canceled *telemetry.Counter
+	// Job deduplication for "compact", "flush_build" and the free batches:
+	// retried RPCs share a job id, so redelivery (a retry racing a slow
+	// original, or following a lost reply) never runs the work twice. The
+	// table lives outside the RPC service and survives its crash/restart.
+	jobMu        sync.Mutex
+	jobs         map[uint64]*jobState
+	jobOrder     []uint64
+	deduped      *telemetry.Counter
+	canceled     *telemetry.Counter
+	invalidFrees *telemetry.Counter // frees naming what this node does not hold
 
 	// Write-ahead log slots (internal/wal). The directory maps a stable
 	// log key (owner identity, not physical compute node) to its slot so a
@@ -165,6 +168,7 @@ func NewServer(node *rdma.Node, cfg Config) *Server {
 	tel := node.Fabric().Telemetry()
 	s.deduped = tel.Counter("memnode.jobs.deduped")
 	s.canceled = tel.Counter("memnode.jobs.canceled")
+	s.invalidFrees = tel.Counter("memnode.invalid_frees")
 	s.rpc.HandleDedicated("compact", s.handleCompact, 12)
 	s.rpc.Handle("compact_cancel", s.handleCompactCancel)
 	// flush_build rides the shared worker pool: builds are bounded by one
@@ -470,7 +474,8 @@ func (s *Server) handleCompact(from int, argBytes []byte) ([]byte, error) {
 // duplicate of a running job parks until the original finishes and
 // returns the same reply. Neither runs the work again. jobID 0 disables
 // deduplication. Shared by the "compact" and "flush_build" services —
-// both allocate self-region output extents that a cancel must reclaim.
+// both allocate self-region output extents that a cancel must reclaim —
+// and by the free batches, which have none.
 func (s *Server) withJobDedupe(jobID uint64, run func() ([]byte, []*sstable.Meta, error)) ([]byte, error) {
 	if jobID == 0 {
 		reply, _, err := run()
@@ -684,9 +689,11 @@ func (s *Server) freeSelf(m *sstable.Meta) {
 
 // --- batched garbage collection (§V-B) -------------------------------------
 
-// EncodeFrees serializes a batch of (absolute offset, extent) pairs.
-func EncodeFrees(frees [][2]int64) []byte {
-	b := binary.LittleEndian.AppendUint32(nil, uint32(len(frees)))
+// EncodeFrees serializes a batch of (absolute offset, extent) pairs under
+// the id that makes its delivery at most once (0 disables that).
+func EncodeFrees(jobID uint64, frees [][2]int64) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, jobID)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(frees)))
 	for _, f := range frees {
 		b = binary.LittleEndian.AppendUint64(b, uint64(f[0]))
 		b = binary.LittleEndian.AppendUint64(b, uint64(f[1]))
@@ -694,21 +701,48 @@ func EncodeFrees(frees [][2]int64) []byte {
 	return b
 }
 
+// EncodeFSFrees serializes a batch of tmpfs file ids the same way.
+func EncodeFSFrees(jobID uint64, ids []uint64) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, jobID)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(ids)))
+	for _, id := range ids {
+		b = binary.LittleEndian.AppendUint64(b, id)
+	}
+	return b
+}
+
+// handleFreeBatch is what "free" and "fs_free" share: decode the batch
+// (`id u64 | count u32 | count × item`) and apply every item once per batch
+// id — a retry after a lost reply gets the first delivery's answer instead
+// of freeing again. An item free rejects (bytes from a peer) is counted
+// and answered with an error once the rest of the batch has been applied.
+func (s *Server) handleFreeBatch(what string, args []byte, itemLen int, free func(item []byte) error) ([]byte, error) {
+	if len(args) < 12 {
+		return nil, fmt.Errorf("memnode: short %s batch", what)
+	}
+	id, n := binary.LittleEndian.Uint64(args), int(binary.LittleEndian.Uint32(args[8:]))
+	args = args[12:]
+	if len(args) < itemLen*n {
+		return nil, fmt.Errorf("memnode: truncated %s batch", what)
+	}
+	return s.withJobDedupe(id, func() ([]byte, []*sstable.Meta, error) {
+		var invalid []error
+		for i := 0; i < n; i++ {
+			if err := free(args[itemLen*i:]); err != nil {
+				invalid = append(invalid, err)
+			}
+		}
+		s.invalidFrees.Add(int64(len(invalid)))
+		return nil, nil, errors.Join(invalid...)
+	})
+}
+
 func (s *Server) handleFree(from int, args []byte) ([]byte, error) {
-	if len(args) < 4 {
-		return nil, fmt.Errorf("memnode: short free batch")
-	}
-	n := int(binary.LittleEndian.Uint32(args))
-	args = args[4:]
-	if len(args) < 16*n {
-		return nil, fmt.Errorf("memnode: truncated free batch")
-	}
-	for i := 0; i < n; i++ {
-		off := int64(binary.LittleEndian.Uint64(args[16*i:]))
-		ext := int64(binary.LittleEndian.Uint64(args[16*i+8:]))
-		s.selfAlloc.Free(off-s.selfBase, int(ext))
-	}
-	return nil, nil
+	return s.handleFreeBatch("free", args, 16, func(item []byte) error {
+		off := int64(binary.LittleEndian.Uint64(item))
+		ext := int64(binary.LittleEndian.Uint64(item[8:]))
+		return s.selfAlloc.TryFree(off-s.selfBase, int(ext))
+	})
 }
 
 func boolByte(b bool) byte {

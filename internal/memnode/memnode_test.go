@@ -206,14 +206,44 @@ func TestFreeBatch(t *testing.T) {
 			{srv.selfBase + off1, 4096},
 			{srv.selfBase + off2, 8192},
 		}
-		if _, err := cli.Call("free", EncodeFrees(frees)); err != nil {
+		if _, err := cli.Call("free", EncodeFrees(7, frees)); err != nil {
 			t.Fatal(err)
 		}
 		if srv.SelfUsed() != 0 {
 			t.Fatalf("SelfUsed = %d after free batch", srv.SelfUsed())
 		}
+
+		// At most once: the extent is handed out again, and the batch is
+		// redelivered (a retry after a lost reply). The redelivery must get
+		// the first delivery's answer, not free the new owner's extent.
+		again, _ := srv.selfAlloc.Alloc(4096)
+		if again != off1 {
+			t.Fatalf("setup: reallocation landed at %d, want the freed %d", again, off1)
+		}
+		if _, err := cli.Call("free", EncodeFrees(7, frees)); err != nil {
+			t.Fatalf("redelivered batch: %v", err)
+		}
+		if srv.SelfUsed() != 4096 {
+			t.Fatalf("SelfUsed = %d after a redelivered free batch, want the live 4096", srv.SelfUsed())
+		}
+
+		// A batch naming extents this node does not hold is a peer's error:
+		// an error reply and a counter, the valid rest applied, no panic.
+		bad := [][2]int64{{srv.selfBase + off2, 8192}, {srv.selfBase + again, 4096}, {srv.selfBase + again, 1 << 20}}
+		if _, err := cli.Call("free", EncodeFrees(8, bad)); err == nil {
+			t.Fatal("free of a never-allocated extent and of a wrong size succeeded")
+		}
+		if srv.SelfUsed() != 0 {
+			t.Fatalf("SelfUsed = %d: the valid item of the bad batch was not applied", srv.SelfUsed())
+		}
 	})
 	env.Wait()
+	if got := fab.Telemetry().Counter("memnode.invalid_frees").Load(); got != 2 {
+		t.Errorf("memnode.invalid_frees = %d, want 2", got)
+	}
+	if got := fab.Telemetry().Counter("memnode.jobs.deduped").Load(); got != 1 {
+		t.Errorf("memnode.jobs.deduped = %d, want the one redelivery", got)
+	}
 }
 
 func TestTmpfsReadWriteFree(t *testing.T) {
@@ -260,14 +290,19 @@ func TestTmpfsReadWriteFree(t *testing.T) {
 			t.Fatal("OOB read succeeded")
 		}
 		// Free.
-		fr := make([]byte, 12)
-		putU32(fr, 0, 1)
-		putU64(fr, 4, 5)
-		if _, err := cli.Call("fs_free", fr); err != nil {
+		if _, err := cli.Call("fs_free", EncodeFSFrees(3, []uint64{5})); err != nil {
 			t.Fatal(err)
 		}
 		if srv.FSUsed() != 0 {
 			t.Fatal("file survived fs_free")
+		}
+		// A redelivery is answered from the dedupe table; a fresh batch
+		// naming the file that is gone is an error reply.
+		if _, err := cli.Call("fs_free", EncodeFSFrees(3, []uint64{5})); err != nil {
+			t.Fatalf("redelivered fs_free: %v", err)
+		}
+		if _, err := cli.Call("fs_free", EncodeFSFrees(4, []uint64{5})); err == nil {
+			t.Fatal("fs_free of a missing file succeeded")
 		}
 	})
 	env.Wait()

@@ -145,11 +145,11 @@ func TestServiceStopDropsRequestsRestartServes(t *testing.T) {
 		}
 		cli := rpc.NewClient(cn, srv.Node(), nil, 1<<20)
 		p := rpc.Policy{Timeout: 500 * sim.Duration(1000), MaxAttempts: 1} // 500us
-		if _, err := cli.CallPolicy("free", EncodeFrees([][2]int64{}), p); err == nil {
+		if _, err := cli.CallPolicy("free", EncodeFrees(0, nil), p); err == nil {
 			t.Fatal("call succeeded while service stopped")
 		}
 		srv.RestartService()
-		if _, err := cli.CallPolicy("free", EncodeFrees([][2]int64{}), p); err != nil {
+		if _, err := cli.CallPolicy("free", EncodeFrees(0, nil), p); err != nil {
 			t.Fatalf("call after restart: %v", err)
 		}
 	})

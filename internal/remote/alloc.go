@@ -120,21 +120,32 @@ func (a *Allocator) freeHistogramLocked() string {
 }
 
 // Free returns the extent at off to the allocator. n must be the extent
-// size recorded at allocation (after any Shrink), i.e. Meta.Extent.
+// size recorded at allocation (after any Shrink), i.e. Meta.Extent. The
+// caller owns the extent, so a mismatch is a bug here and panics; a free
+// that arrives from a peer goes through TryFree.
 func (a *Allocator) Free(off int64, n int) {
+	if err := a.TryFree(off, n); err != nil {
+		panic(err.Error())
+	}
+}
+
+// TryFree is Free that reports an extent this allocator does not hold at
+// that size as an error and leaves the allocator untouched.
+func (a *Allocator) TryFree(off int64, n int) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	order, ok := a.live[off]
 	if !ok {
-		panic(fmt.Sprintf("remote: invalid free at %d: double free or never allocated", off))
+		return fmt.Errorf("remote: invalid free at %d: double free or never allocated", off)
 	}
 	if uint(order) != orderFor(n) {
-		panic(fmt.Sprintf("remote: free of %d bytes at %d does not match extent %d (stale handle?)",
-			n, off, blockBytes(uint(order))))
+		return fmt.Errorf("remote: free of %d bytes at %d does not match extent %d (stale handle?)",
+			n, off, blockBytes(uint(order)))
 	}
 	delete(a.live, off)
 	a.used -= blockBytes(uint(order))
 	a.freeBlockLocked(off, uint(order))
+	return nil
 }
 
 // freeBlockLocked inserts a block and coalesces with its buddy chain.

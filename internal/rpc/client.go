@@ -261,11 +261,14 @@ func (c *Client) stageArgs(args []byte) {
 // it on demand the way stageArgs grows the argument buffer. A caller that
 // can bound its reply (a compaction's output metas) asks before the call:
 // a reply that does not fit comes back as an error only after the responder
-// did the whole job. The outgrown region is deregistered, like a renewal.
+// did the whole job. So a client whose replies vary starts small and lets
+// this size the region — at least doubling, so a slowly rising bound does
+// not re-register per call. The outgrown region is deregistered, like a
+// renewal.
 func (c *Client) GrowReply(n int) {
 	if need := n + replyOverhead + 1; c.reply.Size() < need {
 		c.node.Deregister(c.reply)
-		c.reply = c.node.Register(need)
+		c.reply = c.node.Register(max(need, 2*c.reply.Size()))
 	}
 }
 

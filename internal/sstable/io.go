@@ -109,7 +109,7 @@ type Options struct {
 	// Cache (ReadOptions.FillCache); lookups happen regardless.
 	FillCache bool
 
-	// Build-splitting controls for three-layer write-path offloading
+	// Build-splitting controls for the near-data flush and its ablation
 	// (DESIGN.md §11). All false by default, leaving writer behavior —
 	// bytes and CPU charges — exactly as before. A builder running on one
 	// node sets Skip* for the sections another node constructs, and

@@ -177,8 +177,9 @@ func (l *Log) Stage(seqLo uint64, n int, ent func(i int) (kind byte, key, value 
 
 // reserveLocked assigns the next LSN and claims its record's place in both
 // rings, parking the stager while either is full. A full remote ring has
-// the trimmer kick the engine's flush pipeline; a full staging ring just
-// waits for completions — the pipeline's backpressure.
+// the trimmer refresh the checkpoint and, if that frees nothing, kick the
+// engine's flush pipeline; a full staging ring just waits for completions
+// — the pipeline's backpressure.
 func (l *Log) reserveLocked(need int) (liveRec, error) {
 	stalledAt := sim.Time(-1)
 	for {
@@ -213,9 +214,11 @@ func (l *Log) reserveLocked(need int) (liveRec, error) {
 			l.stageCond.Wait()
 			continue
 		}
-		l.refreshReq, l.kickReq = true, true
+		l.refreshReq = true
 		l.trimCond.Signal()
+		l.ringParked++
 		l.ringCond.Wait()
+		l.ringParked--
 	}
 }
 

@@ -137,8 +137,8 @@ func TestWindowKeepsDoorbellsInFlight(t *testing.T) {
 						t.Errorf("read back lsn %d: %v", lsn, err)
 						return
 					}
-					got, ok := ParseReplayRecord(mr.Bytes(0, rec.size), l.epoch)
-					if !ok || got.LSN != lsn || got.SeqLo != seq {
+					got, _, ok := parseRecord(mr.Bytes(0, rec.size), l.epoch, lsn)
+					if !ok || got.SeqLo != seq {
 						t.Errorf("lsn %d acknowledged, but the ring at %v holds %+v (ok=%v)", lsn, slot, got, ok)
 					}
 				}

@@ -153,6 +153,13 @@ type Entry struct {
 	Value []byte
 }
 
+// own returns e with its key and value copied out of the buffer a walker
+// handed them in.
+func (e Entry) own() Entry {
+	e.Key, e.Value = append([]byte(nil), e.Key...), append([]byte(nil), e.Value...)
+	return e
+}
+
 // Record is one decoded log record: count entries with consecutive
 // sequence numbers starting at SeqLo.
 type Record struct {
@@ -182,66 +189,101 @@ func appendRecord(dst []byte, epoch, lsn, seqLo uint64, n int, ent func(i int) (
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[body:]))
 }
 
-// ParseReplayRecord decodes one framed record for offload replay. Unlike
-// recovery's ring scan it has no sequential-LSN requirement: replay
-// selects records by ring location (wal.View), not by walking from the
-// header, so any LSN of the right epoch with a valid CRC is acceptable.
-func ParseReplayRecord(b []byte, epoch uint64) (Record, bool) {
-	rec, _, ok := parseRecord(b, epoch, 0)
-	return rec, ok
+// WalkSpan decodes the framed records laid back to back in b — one span of
+// a View — and calls fn for each entry in ring order with at, the offset of
+// the entry's frame in b. It copies and allocates nothing: key and value
+// alias b, which is why a near-data flush can run it straight over the
+// registered log region. Unlike recovery's ring scan there is no
+// sequential-LSN requirement: spans are selected by ring location, not by
+// walking from the header, so any record of the right epoch with a valid
+// CRC is acceptable. ok=false means b is not exactly a run of valid
+// records; entries already handed to fn must then be discarded.
+func WalkSpan(b []byte, epoch uint64, fn func(e Entry, at int)) (ok bool) {
+	for off := 0; off < len(b); {
+		_, _, size, ok := walkRecord(b[off:], epoch, 0, func(e Entry, at int) { fn(e, off+at) })
+		if !ok {
+			return false
+		}
+		off += size
+	}
+	return len(b) > 0
 }
 
-// parseRecord decodes the record at the front of b, requiring the given
+// EntryAt decodes the entry frame at offset at of b, as WalkSpan reported
+// it, bounds-checked again: the bytes are remote-writable memory.
+func EntryAt(b []byte, at int) (kind byte, key, value []byte, ok bool) {
+	if at < 0 || at > len(b)-entryOverhead {
+		return 0, nil, nil, false
+	}
+	b = b[at:]
+	klen := int64(binary.LittleEndian.Uint32(b[1:]))
+	vlen := int64(binary.LittleEndian.Uint32(b[5:]))
+	if klen+vlen > int64(len(b)-entryOverhead) {
+		return 0, nil, nil, false
+	}
+	key = b[entryOverhead : entryOverhead+klen]
+	return b[0], key, b[entryOverhead+klen : entryOverhead+klen+vlen], true
+}
+
+// walkRecord decodes the record at the front of b, requiring the given
 // epoch and — unless wantLSN is 0, which no record carries — that exact
-// LSN. Returns the framed size on success; ok=false means the bytes are
-// not a valid next record (torn tail).
-func parseRecord(b []byte, epoch, wantLSN uint64) (Record, int, bool) {
+// LSN, and hands fn each entry (aliasing b) with its frame's offset in b.
+// Returns the framed size on success; ok=false means the bytes are not a
+// valid next record (torn tail), whatever fn has seen of them.
+func walkRecord(b []byte, epoch, wantLSN uint64, fn func(e Entry, at int)) (lsn, seqLo uint64, size int, ok bool) {
 	if len(b) < 4 {
-		return Record{}, 0, false
+		return 0, 0, 0, false
 	}
 	ln := binary.LittleEndian.Uint32(b)
 	if ln == padMarker || int64(ln) < recFixed || int64(ln) > int64(len(b)-recOverhead) {
-		return Record{}, 0, false
+		return 0, 0, 0, false
 	}
 	body := b[4 : 4+ln]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(b[4+ln:]) {
-		return Record{}, 0, false
+		return 0, 0, 0, false
 	}
 	if binary.LittleEndian.Uint64(body[0:]) != epoch {
-		return Record{}, 0, false
+		return 0, 0, 0, false
 	}
-	rec := Record{
-		LSN:   binary.LittleEndian.Uint64(body[8:]),
-		SeqLo: binary.LittleEndian.Uint64(body[16:]),
-	}
-	if wantLSN != 0 && rec.LSN != wantLSN {
-		return Record{}, 0, false
+	lsn, seqLo = binary.LittleEndian.Uint64(body[8:]), binary.LittleEndian.Uint64(body[16:])
+	if wantLSN != 0 && lsn != wantLSN {
+		return 0, 0, 0, false
 	}
 	count := int(binary.LittleEndian.Uint32(body[24:]))
 	rest := body[recFixed:]
 	for i := 0; i < count; i++ {
 		if len(rest) < entryOverhead {
-			return Record{}, 0, false
+			return 0, 0, 0, false
 		}
-		kind := rest[0]
 		klen := int64(binary.LittleEndian.Uint32(rest[1:]))
 		vlen := int64(binary.LittleEndian.Uint32(rest[5:]))
-		rest = rest[entryOverhead:]
-		if klen+vlen > int64(len(rest)) {
-			return Record{}, 0, false
+		if klen+vlen > int64(len(rest)-entryOverhead) {
+			return 0, 0, 0, false
 		}
-		rec.Entries = append(rec.Entries, Entry{
-			Seq:   rec.SeqLo + uint64(i),
-			Kind:  kind,
-			Key:   append([]byte(nil), rest[:klen]...),
-			Value: append([]byte(nil), rest[klen:klen+vlen]...),
-		})
-		rest = rest[klen+vlen:]
+		kv := rest[entryOverhead:]
+		fn(Entry{Seq: seqLo + uint64(i), Kind: rest[0], Key: kv[:klen], Value: kv[klen : klen+vlen]},
+			4+int(ln)-len(rest))
+		rest = kv[klen+vlen:]
 	}
 	if len(rest) != 0 || count == 0 {
+		return 0, 0, 0, false
+	}
+	return lsn, seqLo, int(4 + ln + 4), true
+}
+
+// parseRecord is walkRecord into a Record that owns its bytes: recovery
+// and tail reads outlive the buffer they decode from.
+func parseRecord(b []byte, epoch, wantLSN uint64) (Record, int, bool) {
+	var rec Record
+	var size int
+	var ok bool
+	rec.LSN, rec.SeqLo, size, ok = walkRecord(b, epoch, wantLSN, func(e Entry, _ int) {
+		rec.Entries = append(rec.Entries, e.own())
+	})
+	if !ok {
 		return Record{}, 0, false
 	}
-	return rec, int(4 + ln + 4), true
+	return rec, size, true
 }
 
 // scanRing walks the ring from the header's start position, returning

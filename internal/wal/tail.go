@@ -41,8 +41,8 @@ func (l *Log) ReleaseTruncation() {
 // TailEntries reads back every durable log entry with sequence in
 // [seqLo, seqHi], in sequence order. It rides ReplayView for the record
 // locations (waiting out in-flight commits that overlap the range), then
-// fetches each record from the remote ring over its own queue pair and
-// decodes it. Shard migration replays the returned entries on the
+// fetches each span from the remote ring over its own queue pair and
+// decodes it, copying the entries out of the staging buffer. Shard migration replays the returned entries on the
 // destination shard — the tail above the cloned checkpoint horizon. The
 // caller must bracket the call with HoldTruncation/ReleaseTruncation if
 // the horizon was computed earlier; otherwise a concurrent checkpoint
@@ -55,13 +55,13 @@ func (l *Log) TailEntries(seqLo, seqHi uint64) ([]Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(view.Records) == 0 {
+	if len(view.Spans) == 0 {
 		return nil, nil
 	}
 	max := 0
-	for _, r := range view.Records {
-		if r.Size > max {
-			max = r.Size
+	for _, sp := range view.Spans {
+		if sp.Size > max {
+			max = sp.Size
 		}
 	}
 	qp := l.cfg.Compute.NewQP(l.cfg.Host)
@@ -70,18 +70,17 @@ func (l *Log) TailEntries(seqLo, seqHi uint64) ([]Entry, error) {
 	defer l.cfg.Compute.Deregister(mr)
 
 	var out []Entry
-	for _, r := range view.Records {
-		if err := qp.ReadSync(mr, 0, l.cfg.Slot.Add(l.ringBase+r.Off), r.Size); err != nil {
+	for _, sp := range view.Spans {
+		if err := qp.ReadSync(mr, 0, l.cfg.Slot.Add(l.ringBase+sp.Off), sp.Size); err != nil {
 			return nil, err
 		}
-		rec, ok := ParseReplayRecord(mr.Bytes(0, r.Size), view.Epoch)
-		if !ok {
-			return nil, fmt.Errorf("wal: tail record at ring offset %d failed to parse", r.Off)
-		}
-		for _, e := range rec.Entries {
+		ok := WalkSpan(mr.Bytes(0, sp.Size), view.Epoch, func(e Entry, _ int) {
 			if e.Seq >= seqLo && e.Seq <= seqHi {
-				out = append(out, e)
+				out = append(out, e.own())
 			}
+		})
+		if !ok {
+			return nil, fmt.Errorf("wal: tail span at ring offset %d failed to parse", sp.Off)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })

@@ -35,6 +35,10 @@ func TestTailEntriesRange(t *testing.T) {
 				t.Fatalf("entries[%d].Value = %q, want %q", i, e.Value, v)
 			}
 		}
+		// The eight records sit in a row: one span names them all.
+		if v, err := tw.l.ReplayView(5, 12); err != nil || len(v.Spans) != 1 || v.Spans[0].Size != 8*tw.l.live[0].size {
+			t.Fatalf("ReplayView(5,12) = %+v, %v; want one span of 8 records", v, err)
+		}
 		// Inverted range is empty, not an error.
 		if got, err := tw.l.TailEntries(7, 3); err != nil || got != nil {
 			t.Fatalf("TailEntries(7,3) = %v, %v; want nil, nil", got, err)

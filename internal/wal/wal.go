@@ -60,8 +60,10 @@ type Config struct {
 	// trimmer calls it outside the log mutex.
 	Refresh func() (blob []byte, covered uint64)
 	// Kick asks the engine to push unflushed data toward a checkpoint
-	// (force a memtable switch); the trimmer calls it, outside the log
-	// mutex, when appends stall on ring space.
+	// (force a memtable switch). The trimmer calls it, outside the log
+	// mutex, when a refresh freed no ring space while appends are parked
+	// on it: nothing already flushed was holding the ring, so only new
+	// flushes can free it. The engine may decline (flushes still queued).
 	Kick func()
 	// Charge accounts serialization/copy CPU to the compute node.
 	Charge func(bytes int)
@@ -171,7 +173,7 @@ type Log struct {
 
 	holdTrunc   int // >0: ring truncation paused (see HoldTruncation)
 	refreshReq  bool
-	kickReq     bool // a stager found the ring full: Kick before the next refresh
+	ringParked  int // stagers parked on a full ring
 	recovering  bool
 	closed      bool
 	broken      bool
@@ -359,7 +361,8 @@ func (l *Log) RequestRefresh() {
 // one the caller just installed).
 func (l *Log) RefreshNow() error {
 	blob, covered := l.cfg.Refresh()
-	return l.publishRefresh(blob, covered)
+	_, err := l.publishRefresh(blob, covered)
+	return err
 }
 
 // DropMirror permanently stops mirroring onto the replica slot. The
@@ -397,18 +400,21 @@ func (l *Log) Close() {
 	l.teardown()
 }
 
-// checkFence verifies, on the trimmer's queue pair, that the ownership
-// lease is still this log's: a CAS that expects (and rewrites) the
-// unchanged fence word. A mismatch is ErrFenced — final; transient fabric
-// faults retry. (The commit pipeline queues its own CAS behind every run.)
-func (l *Log) checkFence() error {
-	if l.cfg.FenceWord == 0 {
+// CheckFence verifies over qp, a queue pair of the caller's to the memory
+// node, that the ownership lease is still this log's: a CAS that expects
+// (and rewrites) the unchanged fence word. A mismatch is ErrFenced — final;
+// transient fabric faults retry. The trimmer asks before it publishes a
+// checkpoint, the engine before it installs a table a takeover would
+// orphan. (The commit pipeline queues its own CAS behind every run.)
+// Nil-safe, and nil on a log without a fence.
+func (l *Log) CheckFence(qp *rdma.QP) error {
+	if l == nil || l.cfg.FenceWord == 0 {
 		return nil
 	}
 	var swapped bool
 	err := l.retrySync(func() error {
 		var cerr error
-		_, swapped, cerr = l.trimQP.CompareSwapSync(l.cfg.Fence, l.cfg.FenceWord, l.cfg.FenceWord)
+		_, swapped, cerr = qp.CompareSwapSync(l.cfg.Fence, l.cfg.FenceWord, l.cfg.FenceWord)
 		return cerr
 	})
 	if err != nil {
@@ -433,18 +439,21 @@ func (l *Log) trimLoop() {
 		if l.closed || l.broken {
 			return
 		}
-		kick := l.kickReq && l.cfg.Kick != nil
-		l.refreshReq, l.kickReq = false, false
+		l.refreshReq = false
 		l.mu.Unlock()
-		if kick {
-			l.cfg.Kick() // one kick serves every stager parked since the last refresh
-		}
 		blob, covered := l.cfg.Refresh()
-		err := l.publishRefresh(blob, covered)
+		freed, err := l.publishRefresh(blob, covered)
 		l.mu.Lock()
 		if err != nil {
 			l.failLocked(fmt.Errorf("wal: checkpoint refresh: %w", err))
 			return
+		}
+		if freed == 0 && l.ringParked > 0 && l.cfg.Kick != nil {
+			// Every flush that completes requests a refresh, so a kick the
+			// engine declines now is asked again when its queue has drained.
+			l.mu.Unlock()
+			l.cfg.Kick()
+			l.mu.Lock()
 		}
 	}
 }
@@ -453,11 +462,12 @@ func (l *Log) trimLoop() {
 // header to it (also advancing the ring start past every durable record
 // the checkpoint covers), and only then — once the new header is durable
 // — releases the trimmed ring space for reuse. A crash at any point
-// leaves either the old or the new header, each self-consistent.
-func (l *Log) publishRefresh(blob []byte, covered uint64) error {
+// leaves either the old or the new header, each self-consistent. It
+// returns the ring bytes released.
+func (l *Log) publishRefresh(blob []byte, covered uint64) (freed int, err error) {
 	if len(blob) > l.ckptCap {
 		l.cfg.Metrics.CkptSkips.Inc()
-		return nil
+		return 0, nil
 	}
 	l.trimMu.Lock()
 	defer l.trimMu.Unlock()
@@ -476,7 +486,7 @@ func (l *Log) publishRefresh(blob []byte, covered uint64) error {
 	// are applied only after the header lands. While a truncation hold is
 	// in force (shard migration reading the tail) nothing is popped — the
 	// checkpoint still publishes, but every live record stays readable.
-	trimN, freed := 0, 0
+	trimN := 0
 	if l.holdTrunc == 0 {
 		for _, r := range l.live {
 			if r.lsn > l.durableLSN || r.maxSeq > covered {
@@ -498,8 +508,8 @@ func (l *Log) publishRefresh(blob []byte, covered uint64) error {
 	// bounded to one stale-but-self-consistent header, which the new
 	// owner's own FinishRecovery header supersedes; real deployments close
 	// even that window by revoking the deposed node's rkeys.)
-	if err := l.checkFence(); err != nil {
-		return err
+	if err := l.CheckFence(l.trimQP); err != nil {
+		return 0, err
 	}
 	h := Header{
 		Epoch: epoch, StartOff: uint64(startOff), StartLSN: startLSN, Covered: covered,
@@ -508,7 +518,7 @@ func (l *Log) publishRefresh(blob []byte, covered uint64) error {
 		Tag: tag,
 	}
 	if done, err := l.publishPair(blob, h); err != nil || !done {
-		return err
+		return 0, err
 	}
 
 	l.mu.Lock()
@@ -521,7 +531,7 @@ func (l *Log) publishRefresh(blob []byte, covered uint64) error {
 		l.ringCond.Broadcast()
 	}
 	l.mu.Unlock()
-	return nil
+	return freed, nil
 }
 
 // publishPair makes (blob, h) the slot's recovery baseline: the blob into

@@ -208,6 +208,53 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWalkSpan: a span of back-to-back records decodes entry by entry, in
+// ring order, aliasing the buffer and allocating nothing; EntryAt finds
+// each entry again at the offset WalkSpan gave; a span that is not exactly
+// valid records (a flipped byte, a cut, a trailing byte) is refused.
+func TestWalkSpan(t *testing.T) {
+	var span []byte
+	for r := 0; r < 3; r++ { // records of 1, 2 and 3 entries, seqs 10..15
+		span = appendRecord(span, 3, uint64(7+r), uint64(10+r*(r+1)/2), r+1, func(i int) (byte, []byte, []byte) {
+			return byte(i), []byte(fmt.Sprintf("k%d.%d", r, i)), []byte(fmt.Sprintf("value-%d.%d", r, i))
+		})
+	}
+	var seqs []uint64
+	ok := WalkSpan(span, 3, func(e Entry, at int) {
+		seqs = append(seqs, e.Seq)
+		kind, key, value, ok := EntryAt(span, at)
+		if !ok || kind != e.Kind || !bytes.Equal(key, e.Key) || !bytes.Equal(value, e.Value) {
+			t.Fatalf("seq %d: EntryAt(%d) = %d %q %q %v, walked %d %q %q", e.Seq, at, kind, key, value, ok, e.Kind, e.Key, e.Value)
+		}
+		if &key[0] != &e.Key[0] || &e.Key[0] != &span[at+entryOverhead] {
+			t.Fatalf("seq %d: key does not alias the span", e.Seq)
+		}
+	})
+	if want := []uint64{10, 11, 12, 13, 14, 15}; !ok || fmt.Sprint(seqs) != fmt.Sprint(want) {
+		t.Fatalf("WalkSpan = %v, seqs %v, want %v", ok, seqs, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { WalkSpan(span, 3, func(Entry, int) {}) }); n != 0 {
+		t.Errorf("WalkSpan allocates %.0f times per span, want 0", n)
+	}
+	refuse := func(what string, b []byte, epoch uint64) {
+		if WalkSpan(b, epoch, func(Entry, int) {}) {
+			t.Errorf("WalkSpan accepted %s", what)
+		}
+	}
+	refuse("a stale epoch", span, 4)
+	refuse("an empty span", nil, 3)
+	refuse("a cut span", span[:len(span)-1], 3)
+	refuse("a trailing byte", append(append([]byte(nil), span...), 0), 3)
+	for i := range span {
+		bad := append([]byte(nil), span...)
+		bad[i] ^= 0x40
+		refuse(fmt.Sprintf("a flipped byte %d", i), bad, 3)
+	}
+	if _, _, _, ok := EntryAt(span, len(span)-3); ok {
+		t.Error("EntryAt decoded a frame that runs off the buffer")
+	}
+}
+
 func TestAppendScanRoundTrip(t *testing.T) {
 	walHarness(t, func(env *sim.Env, cn *rdma.Node, srv *logHost) {
 		tw := openTestWAL(t, env, cn, srv, 1, 64<<10, false)

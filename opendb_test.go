@@ -208,14 +208,6 @@ func TestOpenDBRejectsMeaninglessCombinations(t *testing.T) {
 		tune func(o *Options)
 		want []string
 	}{
-		{"index build without flush offload", RolePrimary, Placement{},
-			func(o *Options) { o.OffloadIndexBuild = true }, []string{"OffloadIndexBuild", "OffloadFlush"}},
-		{"filter without flush offload", RolePrimary, Placement{},
-			func(o *Options) { o.OffloadFilter = true }, []string{"OffloadFilter", "OffloadFlush"}},
-		{"flush offload on the FS transport", RolePrimary, Placement{},
-			func(o *Options) { o.OffloadFlush = true; o.Transport = TransportFS }, []string{"OffloadFlush", "Transport"}},
-		{"filter offload without a filter", RolePrimary, Placement{},
-			func(o *Options) { o.OffloadFlush, o.OffloadFilter, o.BitsPerKey = true, true, -1 }, []string{"OffloadFilter", "BitsPerKey"}},
 		{"quorum ack without a replica", RolePrimary, Placement{},
 			func(o *Options) { sync(o); o.ReplAck = AckQuorum }, []string{"ReplAck", "Replica"}},
 		{"log-replay without a replica", RolePrimary, Placement{},
